@@ -2,12 +2,10 @@
 over telecom fibers shared with classical gigabit traffic."""
 
 from .channel import (
-    ArmTransits,
     ChannelConfig,
     ClassicalTraffic,
     TrafficDirection,
     background_rate_per_detector,
-    propagate_arm,
     second_mode_delay_ps,
     transmittance,
 )
@@ -32,20 +30,20 @@ from .netsim import (
 )
 from .pairgen import (
     Basis,
-    PairStream,
     SourceParams,
-    generate_pair_stream,
     joint_outcome_probability,
     matched_basis_error_probability,
 )
 from .receiver import (
     DetectorParams,
+    LinkBudget,
     TagOrigin,
     TagStream,
     add_noise_tags,
     apply_dead_time,
-    detect_pairs,
+    link_budget,
     read_tags,
+    sample_pair_tags,
     write_tags,
 )
 from .tagproc import (

@@ -1,6 +1,6 @@
-"""One fiber arm: attenuation, splitter insertion loss, bimodal propagation
-of the short-wavelength photons, and noise counts induced by classical
-traffic sharing the fiber.
+"""One fiber arm: attenuation, splitter insertion loss, the delay of the
+second spatial mode the short-wavelength photons can travel in, and noise
+counts induced by classical traffic sharing the fiber.
 """
 
 from __future__ import annotations
@@ -8,10 +8,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-
-import numpy as np
-
-from .pairgen import PairStream
 
 SPEED_OF_LIGHT_KM_PER_S = 299_792.458
 GROUP_INDEX = 1.47
@@ -97,23 +93,6 @@ class ChannelConfig:
         return second_mode_delay_ps(self.length_km, self.mode_delay_ns_per_km)
 
 
-@dataclass(eq=False)
-class ArmTransits:
-    """Per-pair transit outcome of one arm, aligned with the pair stream.
-
-    Photons in the second-order spatial mode arrive late by the mode delay
-    and have lost their polarization alignment (depolarized).
-    """
-
-    survived: np.ndarray      # bool, photon reached the arm output
-    second_order: np.ndarray  # bool, photon travelled in the delayed mode
-    depolarized: np.ndarray   # bool, outcome will be uniform regardless of partner
-    arrival_ps: np.ndarray    # int64, arrival time at the analyzer input
-
-    def __len__(self) -> int:
-        return int(self.survived.size)
-
-
 def transmittance(alpha_db_per_km: float, length_km: float) -> float:
     """Power transmission 10^(-alpha*L/10) of a fiber span."""
     if not (math.isfinite(alpha_db_per_km) and alpha_db_per_km >= 0):
@@ -132,75 +111,6 @@ def second_mode_delay_ps(length_km: float, mode_delay_ns_per_km: float = 2.2) ->
             f"mode_delay_ns_per_km must be finite and >= 0, got {mode_delay_ns_per_km}"
         )
     return int(math.floor(length_km * mode_delay_ns_per_km * 1000.0 + 0.5))
-
-
-def assign_pair_modes(
-    n_pairs: int, fraction: float, seed
-) -> tuple[np.ndarray, np.ndarray]:
-    """Draw coordinated second-order-mode flags for the two arms.
-
-    A pair enters the degraded launch condition with probability
-    ``fraction``; one photon of such a pair (the arm picked 50/50) travels
-    in the second-order mode. Used by the session pipeline so that the
-    degraded population carries the mode delay on exactly one side and can
-    be removed by arrival-time filtering; see ``propagate_arm`` for the
-    per-arm marginal behaviour when no explicit flags are supplied.
-
-    Returns:
-        (flags_arm_a, flags_arm_b) boolean arrays of length n_pairs.
-    """
-    if not (0.0 <= fraction <= 1.0):
-        raise ValueError(f"fraction must be in [0, 1], got {fraction}")
-    rng = np.random.default_rng(seed)
-    degraded = rng.random(n_pairs) < fraction
-    side_b = rng.integers(0, 2, size=n_pairs, dtype=np.int8) == 1
-    return degraded & ~side_b, degraded & side_b
-
-
-def propagate_arm(
-    pairs: PairStream,
-    config: ChannelConfig,
-    seed,
-    second_order: np.ndarray | None = None,
-) -> ArmTransits:
-    """Send each photon of the stream down one arm.
-
-    Survival is an independent Bernoulli trial with probability
-    transmittance(alpha_quantum, length) * splitter transmission. Unless an
-    explicit ``second_order`` flag array is given, each photon is marked
-    second-order independently with probability
-    ``config.second_mode_fraction``; second-order photons arrive late by the
-    mode delay and are depolarized. Deterministic under ``seed`` (draw
-    order: survival, then mode flags when not supplied).
-    """
-    rng = np.random.default_rng(seed)
-    n = len(pairs)
-    splitter_transmission = 10.0 ** (
-        -config.splitter_quantum_loss_db * config.splitters_per_arm / 10.0
-    )
-    p_survive = transmittance(config.alpha_quantum_db_per_km, config.length_km)
-    p_survive *= splitter_transmission
-    survived = rng.random(n) < p_survive
-    if second_order is None:
-        second_order = rng.random(n) < config.second_mode_fraction
-    else:
-        second_order = np.asarray(second_order, dtype=bool)
-        if second_order.size != n:
-            raise ValueError(
-                f"second_order has {second_order.size} entries for {n} pairs"
-            )
-    second_order = second_order & survived
-
-    first_order_delay = int(math.floor(config.length_km * PS_PER_KM + 0.5))
-    arrival = pairs.times_ps + first_order_delay
-    if config.length_km > 0:
-        arrival = arrival + np.where(second_order, config.mode_delay_ps, 0)
-    return ArmTransits(
-        survived=survived,
-        second_order=second_order,
-        depolarized=second_order.copy(),
-        arrival_ps=arrival.astype(np.int64),
-    )
 
 
 def background_rate_per_detector(traffic: ClassicalTraffic) -> float:

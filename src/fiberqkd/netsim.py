@@ -15,8 +15,18 @@ from . import channel as chan
 from . import distill, receiver, tagproc
 from .channel import ChannelConfig
 from .distill import KeyRateReport
-from .pairgen import SourceParams, generate_pair_stream, matched_basis_error_probability
-from .receiver import DetectorParams, TagOrigin, TagStream
+from .pairgen import SourceParams, matched_basis_error_probability
+from .receiver import (
+    CLICK_A_ONLY,
+    CLICK_B_ONLY,
+    CLICK_BOTH,
+    MODE_DEGRADED_A,
+    MODE_DEGRADED_B,
+    MODE_GOOD,
+    DetectorParams,
+    TagOrigin,
+    TagStream,
+)
 
 
 class SourceBusyError(RuntimeError):
@@ -158,53 +168,32 @@ def release_session(plan: SessionPlan) -> None:
 def run_session(plan: SessionPlan) -> tuple[KeyRateReport, SessionArtifacts]:
     """Execute a session end to end and release the source when done.
 
-    Pipeline: pair emission, per-arm propagation with pair-coordinated mode
-    assignment, detection, traffic/dark noise, dead time, offset recovery,
-    wide-window coincidence matching, arrival-time mode filtering, sifting,
-    and key-rate evaluation. Deterministic under the plan seed.
+    Pipeline: pair clicks drawn by the thinned event sampler
+    (``receiver.sample_pair_tags``), traffic/dark noise, dead time, offset
+    recovery, wide-window coincidence matching, arrival-time mode
+    filtering, sifting, and key-rate evaluation. The sampler draws only
+    the pairs that click on at least one side, with each pair's mode
+    class (degraded on at most one arm) and click class taken from the
+    shared link budget, so the cost scales with detected events rather
+    than emitted pairs. A pair tag's ``pair_ids`` entry indexes the
+    session's list of clicking pairs and is shared by both sides.
+    Deterministic under the plan seed.
     """
     topo = plan.topology
     try:
         seeds = np.random.SeedSequence(plan.seed).spawn(8)
-        (
-            s_pairs,
-            s_modes,
-            s_arm_a,
-            s_arm_b,
-            s_detect,
-            s_bg_a,
-            s_bg_b,
-            s_dark,
-        ) = seeds
+        # Slots 1-4 are unused so that the noise seeds keep their places.
+        s_pairs, s_bg_a, s_bg_b, s_dark = seeds[0], seeds[5], seeds[6], seeds[7]
 
-        source = dataclasses.replace(
+        tags_a, tags_b = receiver.sample_pair_tags(
             topo.source,
-            duration_s=plan.duration_s,
-            seed=int(s_pairs.generate_state(1, np.uint64)[0]),
-        )
-        pairs = generate_pair_stream(source)
-
-        # Mode flags are drawn per pair, not per arm, so the degraded
-        # population carries the mode delay on exactly one side; the
-        # two arms might have different configured fractions, in which
-        # case the larger one drives the pair-level draw.
-        fraction = max(
-            plan.config_a.second_mode_fraction, plan.config_b.second_mode_fraction
-        )
-        mode_a, mode_b = chan.assign_pair_modes(len(pairs), fraction, s_modes)
-        transits_a = chan.propagate_arm(pairs, plan.config_a, s_arm_a, second_order=mode_a)
-        transits_b = chan.propagate_arm(pairs, plan.config_b, s_arm_b, second_order=mode_b)
-
-        tags_a, tags_b = receiver.detect_pairs(
-            transits_a,
-            transits_b,
-            source.intrinsic_visibility,
+            plan.config_a,
+            plan.config_b,
             topo.detector,
-            topo.detector,
-            s_detect,
+            plan.duration_s,
+            s_pairs,
             qber_drift_per_s=topo.qber_drift_per_s,
         )
-        del transits_a, transits_b
 
         dark_seeds = s_dark.spawn(2)
         tags_a = receiver.add_noise_tags(
@@ -257,31 +246,13 @@ def run_session(plan: SessionPlan) -> tuple[KeyRateReport, SessionArtifacts]:
         retained = len(filtered) / len(records) if len(records) else 0.0
 
         key = distill.sift(filtered, plan.duration_s)
-        n = len(key)
-        sifted_rate = n / plan.duration_s
-        asymptotic = distill.asymptotic_rate(sifted_rate, key.qber, topo.ec_inefficiency)
-        finite = distill.finite_key_length(n, key.qber, topo.ec_inefficiency, topo.epsilon)
-        try:
-            n_required = float(
-                distill.required_raw_bits(key.qber, topo.ec_inefficiency, topo.epsilon)
-            )
-        except distill.KeyRateError:
-            n_required = math.inf
-
-        report = KeyRateReport(
-            length_km_per_arm=(plan.config_a.length_km + plan.config_b.length_km) / 2.0,
-            traffic_mbps=(
-                plan.config_a.traffic.data_rate_mbps
-                + plan.config_b.traffic.data_rate_mbps
-            )
-            / 2.0,
-            duration_s=plan.duration_s,
-            sifted_bits=n,
-            sifted_rate=sifted_rate,
+        report = _key_rate_report(
+            plan.config_a,
+            plan.config_b,
+            plan.duration_s,
+            sifted_bits=len(key),
+            sifted_rate=len(key) / plan.duration_s,
             qber=key.qber,
-            asymptotic_rate=asymptotic,
-            finite_length=finite,
-            n_required=n_required,
             retained_fraction=retained,
             offset_ps=offset,
             ec_inefficiency=topo.ec_inefficiency,
@@ -334,31 +305,21 @@ def predict_key_rates(
             (-reject_half_width - center_ps) / sigma
         )
 
-    rejection = 10.0 ** (-det.second_mode_rejection_db / 10.0)
-    fraction = max(config_a.second_mode_fraction, config_b.second_mode_fraction)
-
-    p_first = []
-    p_second = []
-    for cfg in (config_a, config_b):
-        arm = chan.transmittance(cfg.alpha_quantum_db_per_km, cfg.length_km) * 10.0 ** (
-            -cfg.splitter_quantum_loss_db * cfg.splitters_per_arm / 10.0
-        )
-        p_first.append(arm * det.efficiency)
-        p_second.append(arm * det.efficiency * rejection)
-
+    budget = receiver.link_budget(config_a, config_b, det)
+    p = budget.class_probs
+    delay_a, delay_b = budget.mode_delay_ps
     rate = source.pair_rate
-    good_rate = rate * (1.0 - fraction) * p_first[0] * p_first[1] * capture(0.0)
-    # Degraded pairs carry the delay on one side, picked 50/50.
-    degraded_rate = rate * fraction * 0.5 * (
-        p_second[0] * p_first[1] * capture(config_a.mode_delay_ps)
-        + p_first[0] * p_second[1] * capture(config_b.mode_delay_ps)
+    good_rate = rate * p[MODE_GOOD, CLICK_BOTH] * capture(0.0)
+    degraded_rate = rate * (
+        p[MODE_DEGRADED_A, CLICK_BOTH] * capture(delay_a)
+        + p[MODE_DEGRADED_B, CLICK_BOTH] * capture(delay_b)
     )
 
-    mode_mix = (1.0 - fraction / 2.0) + (fraction / 2.0) * rejection
     singles = []
-    for cfg, p1 in zip((config_a, config_b), p_first):
+    for cfg, one_sided in ((config_a, CLICK_A_ONLY), (config_b, CLICK_B_ONLY)):
         noise = chan.background_rate_per_detector(cfg.traffic) + det.dark_cps
-        singles.append(rate * p1 * mode_mix + receiver.NUM_DETECTORS * noise)
+        clicks = p[:, CLICK_BOTH].sum() + p[:, one_sided].sum()
+        singles.append(rate * clicks + receiver.NUM_DETECTORS * noise)
     accidental_rate = (
         singles[0] * singles[1] * (2.0 * reject_half_width) / 1e12
     )
@@ -372,13 +333,38 @@ def predict_key_rates(
     )
     qber = error_rate / total
     sifted_rate = 0.5 * total
-    all_true_pairs = rate * (1.0 - fraction) * p_first[0] * p_first[1] + rate * fraction * 0.5 * (
-        p_second[0] * p_first[1] + p_first[0] * p_second[1]
-    )
+    all_true_pairs = rate * p[:, CLICK_BOTH].sum()
     retained = (good_rate + degraded_rate) / all_true_pairs if all_true_pairs else 0.0
-    n = max(1, int(round(sifted_rate * duration_s)))
-    asymptotic = distill.asymptotic_rate(sifted_rate, qber, ec_inefficiency)
-    finite = distill.finite_key_length(n, qber, ec_inefficiency, epsilon)
+    return _key_rate_report(
+        config_a,
+        config_b,
+        duration_s,
+        sifted_bits=max(1, int(round(sifted_rate * duration_s))),
+        sifted_rate=sifted_rate,
+        qber=qber,
+        retained_fraction=retained,
+        offset_ps=0,
+        ec_inefficiency=ec_inefficiency,
+        epsilon=epsilon,
+    )
+
+
+def _key_rate_report(
+    config_a: ChannelConfig,
+    config_b: ChannelConfig,
+    duration_s: float,
+    *,
+    sifted_bits: int,
+    sifted_rate: float,
+    qber: float,
+    retained_fraction: float,
+    offset_ps: int,
+    ec_inefficiency: float,
+    epsilon: float,
+) -> KeyRateReport:
+    """Report for one operating point of a two-arm link: arm length and
+    traffic level averaged over the arms, asymptotic and finite-size key
+    figures, and ``n_required`` = inf where no key size gives a key."""
     try:
         n_required = float(distill.required_raw_bits(qber, ec_inefficiency, epsilon))
     except distill.KeyRateError:
@@ -390,14 +376,14 @@ def predict_key_rates(
         )
         / 2.0,
         duration_s=duration_s,
-        sifted_bits=n,
+        sifted_bits=sifted_bits,
         sifted_rate=sifted_rate,
         qber=qber,
-        asymptotic_rate=asymptotic,
-        finite_length=finite,
+        asymptotic_rate=distill.asymptotic_rate(sifted_rate, qber, ec_inefficiency),
+        finite_length=distill.finite_key_length(sifted_bits, qber, ec_inefficiency, epsilon),
         n_required=n_required,
-        retained_fraction=retained,
-        offset_ps=0,
+        retained_fraction=retained_fraction,
+        offset_ps=offset_ps,
         ec_inefficiency=ec_inefficiency,
         epsilon=epsilon,
     )

@@ -1,4 +1,4 @@
-"""Entangled-pair emission stream and the polarization correlation model.
+"""Entangled-pair source settings and the polarization correlation model.
 
 Timestamps throughout the package are integer picosecond ticks (int64) so
 that coincidence arithmetic downstream is exact.
@@ -9,8 +9,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import IntEnum
-
-import numpy as np
 
 PS_PER_SECOND = 1_000_000_000_000
 
@@ -47,40 +45,6 @@ class SourceParams:
             )
         if not (math.isfinite(self.duration_s) and self.duration_s > 0):
             raise ValueError(f"duration_s must be finite and > 0, got {self.duration_s}")
-
-
-@dataclass(eq=False)
-class PairStream:
-    """Emission times of entangled pairs.
-
-    ``times_ps`` is strictly increasing; the pair id of an event is its
-    position in the array.
-    """
-
-    times_ps: np.ndarray
-    duration_ps: int
-
-    def __len__(self) -> int:
-        return int(self.times_ps.size)
-
-
-def generate_pair_stream(params: SourceParams) -> PairStream:
-    """Draw a homogeneous Poisson emission stream over [0, duration).
-
-    The construction is the conditional-uniform one: the total count is
-    Poisson(rate * duration) and event times are uniform over the window,
-    discretized to picosecond ticks. Ticks that collide (vanishingly rare at
-    the rates of interest) are dropped to keep the stream strictly
-    increasing. Identical params yield a bit-identical stream.
-    """
-    rng = np.random.default_rng(params.seed)
-    duration_ps = int(round(params.duration_s * PS_PER_SECOND))
-    n = rng.poisson(params.pair_rate * params.duration_s)
-    times = rng.integers(0, duration_ps, size=n, dtype=np.int64)
-    times.sort()
-    if times.size > 1:
-        times = times[np.concatenate(([True], np.diff(times) > 0))]
-    return PairStream(times_ps=times, duration_ps=duration_ps)
 
 
 def joint_outcome_probability(

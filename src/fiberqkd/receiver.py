@@ -1,4 +1,5 @@
-"""Passive-basis polarization analyzer and detector front end.
+"""Passive-basis polarization analyzer and detector front end, and the
+event sampler that draws the pair clicks of a two-arm link.
 
 Each party has four single-photon detectors indexed 0..3 as
 (rectilinear, 0), (rectilinear, 1), (diagonal, 0), (diagonal, 1); a tag's
@@ -13,8 +14,8 @@ from enum import IntEnum
 
 import numpy as np
 
-from .channel import ArmTransits
-from .pairgen import PS_PER_SECOND, matched_basis_error_probability
+from .channel import PS_PER_KM, ChannelConfig, transmittance
+from .pairgen import PS_PER_SECOND, SourceParams, matched_basis_error_probability
 
 NUM_DETECTORS = 4
 
@@ -60,9 +61,11 @@ class DetectorParams:
 class TagStream:
     """Detector clicks of one party, sorted by time.
 
-    ``pair_ids`` holds the originating pair id for pair tags and -1
-    otherwise; ``modes`` is 1 for second-order-mode photons, 0 for
-    first-order, -1 for noise tags.
+    ``pair_ids`` holds, for a pair tag, the id of its pair, which the
+    partner's tag of the same pair shares (``sample_pair_tags`` numbers
+    the session's clicking pairs in time order), and -1 for noise tags;
+    ``modes`` is 1 for second-order-mode photons, 0 for first-order, -1
+    for noise tags.
     """
 
     times_ps: np.ndarray   # int64
@@ -112,82 +115,148 @@ def concat_streams(*streams: TagStream) -> TagStream:
     return merged.sorted_by_time()
 
 
-def detect_pairs(
-    transits_a: ArmTransits,
-    transits_b: ArmTransits,
-    visibility_first_order: float,
-    det_a: DetectorParams,
-    det_b: DetectorParams,
+# Classes of a pair, indexing ``LinkBudget.class_probs[mode, click]``. A
+# degraded pair has one photon, on arm A or on arm B, in the delayed and
+# depolarized second-order mode; the click classes cover pairs that click
+# on at least one side.
+MODE_GOOD, MODE_DEGRADED_A, MODE_DEGRADED_B = 0, 1, 2
+CLICK_BOTH, CLICK_A_ONLY, CLICK_B_ONLY = 0, 1, 2
+
+
+@dataclass(frozen=True, eq=False)
+class LinkBudget:
+    """Fate of one emitted pair on a two-arm link.
+
+    ``class_probs[mode, click]`` is the probability that a pair falls in
+    that mode class and click class; 1 - class_probs.sum() is the
+    probability that neither side clicks. Delays are per arm, (A, B): the
+    first-order group delay and the extra delay of the second-order mode.
+    """
+
+    class_probs: np.ndarray  # float64, shape (3, 3)
+    first_order_delay_ps: tuple[int, int]
+    mode_delay_ps: tuple[int, int]
+
+
+def link_budget(
+    config_a: ChannelConfig, config_b: ChannelConfig, detector: DetectorParams
+) -> LinkBudget:
+    """Class probabilities and arrival delays of one pair on two arms.
+
+    A pair is degraded with the larger of the two arms' second-mode
+    fractions, and one photon of a degraded pair (the arm picked 50/50)
+    travels in the second-order mode. A photon reaches its analyzer with
+    the arm's fiber transmittance times the splitter transmission and
+    clicks with the detector efficiency, reduced by the second-mode
+    rejection for a second-order photon. The two photons' fates are
+    independent.
+    """
+    fraction = max(config_a.second_mode_fraction, config_b.second_mode_fraction)
+    rejection = 10.0 ** (-detector.second_mode_rejection_db / 10.0)
+    first, second = [], []
+    for cfg in (config_a, config_b):
+        arm = transmittance(cfg.alpha_quantum_db_per_km, cfg.length_km) * 10.0 ** (
+            -cfg.splitter_quantum_loss_db * cfg.splitters_per_arm / 10.0
+        )
+        first.append(arm * detector.efficiency)
+        second.append(arm * detector.efficiency * rejection)
+    # (weight, click probability A, click probability B) per mode class.
+    modes = (
+        (1.0 - fraction, first[0], first[1]),
+        (fraction / 2.0, second[0], first[1]),
+        (fraction / 2.0, first[0], second[1]),
+    )
+    return LinkBudget(
+        class_probs=np.array(
+            [[w * pa * pb, w * pa * (1.0 - pb), w * (1.0 - pa) * pb] for w, pa, pb in modes]
+        ),
+        first_order_delay_ps=tuple(
+            int(math.floor(cfg.length_km * PS_PER_KM + 0.5)) for cfg in (config_a, config_b)
+        ),
+        mode_delay_ps=(config_a.mode_delay_ps, config_b.mode_delay_ps),
+    )
+
+
+def sample_pair_tags(
+    source: SourceParams,
+    config_a: ChannelConfig,
+    config_b: ChannelConfig,
+    detector: DetectorParams,
+    duration_s: float,
     seed,
     qber_drift_per_s: float = 0.0,
 ) -> tuple[TagStream, TagStream]:
-    """Measure both arms and emit one click stream per party.
+    """Draw both parties' pair clicks over [0, duration), sampling only
+    pairs that click.
 
-    Each arriving photon takes a 50/50 passive basis choice. When both
-    photons of a pair are first-order and the bases match, the outcome pair
-    is drawn from the correlated distribution with contrast
-    ``visibility_first_order``; a depolarized photon yields a uniform
-    outcome regardless of its partner. Detection succeeds with the
-    detector efficiency, reduced by the second-mode rejection for photons
-    in the delayed mode. Tag time is arrival plus Gaussian timing jitter,
-    rounded to ps.
-
+    Pairs are emitted as a Poisson process at ``source.pair_rate`` and each
+    falls independently into one class of ``link_budget``, so the pairs
+    that click on at least one side form a Poisson process of rate
+    pair_rate * class_probs.sum() whose events carry independent class
+    marks (Poisson thinning). The sampler draws that count, the sorted
+    emission ticks and one class per event, then for clicking photons only
+    a 50/50 passive basis choice, an outcome bit and Gaussian timing
+    jitter. A pair that clicks on both sides with both photons first-order
+    and matching bases has outcomes correlated with contrast
+    ``source.intrinsic_visibility``; every other outcome is uniform.
     ``qber_drift_per_s`` adds a linear-in-time term to the matched-basis
-    error probability (clamped to [0, 0.5]) to emulate slow polarization
+    error probability, clamped to [0, 0.5], to emulate slow polarization
     drift of the link; 0 disables it.
 
-    Deterministic under ``seed``; the draw order is basis A, basis B,
-    outcome A, correlation flip, uncorrelated outcome B, detection A,
-    detection B, jitter A, jitter B.
+    A tag's ``pair_ids`` entry is the index of its pair in the session's
+    time-ordered list of clicking pairs, shared by both sides; ``modes`` is
+    1 for a second-order photon. Deterministic under ``seed``; the draw
+    order is count, ticks, classes, basis and outcome on A, basis and
+    outcome on B, correlation flips, jitter on A, jitter on B.
     """
-    n = len(transits_a)
-    if len(transits_b) != n:
-        raise ValueError(
-            f"transit lists disagree on pair count: {n} vs {len(transits_b)}"
-        )
-    if not (0.0 <= visibility_first_order <= 1.0):
-        raise ValueError(
-            f"visibility_first_order must be in [0, 1], got {visibility_first_order}"
-        )
+    if not (math.isfinite(duration_s) and duration_s > 0):
+        raise ValueError(f"duration_s must be finite and > 0, got {duration_s}")
+    budget = link_budget(config_a, config_b, detector)
+    probs = budget.class_probs.ravel()
+    p_click = float(probs.sum())
     rng = np.random.default_rng(seed)
+    n = int(rng.poisson(source.pair_rate * duration_s * p_click))
+    if n == 0:
+        return TagStream.empty(), TagStream.empty()
+    emitted = rng.integers(0, int(round(duration_s * PS_PER_SECOND)), size=n, dtype=np.int64)
+    emitted.sort()
+    classes = rng.choice(probs.size, size=n, p=probs / p_click).astype(np.int8)
+    mode, click = np.divmod(classes, np.int8(3))
 
-    basis_a = rng.integers(0, 2, size=n, dtype=np.int8)
-    basis_b = rng.integers(0, 2, size=n, dtype=np.int8)
-    bit_a = rng.integers(0, 2, size=n, dtype=np.int8)
-    flip_draw = rng.random(n)
-    bit_b_uncorrelated = rng.integers(0, 2, size=n, dtype=np.int8)
-
-    error_p = np.full(n, matched_basis_error_probability(visibility_first_order))
+    idx_a = np.flatnonzero(click != CLICK_B_ONLY)
+    idx_b = np.flatnonzero(click != CLICK_A_ONLY)
+    basis_a, bit_a = rng.integers(0, 2, size=(2, idx_a.size), dtype=np.int8)
+    basis_b, bit_b = rng.integers(0, 2, size=(2, idx_b.size), dtype=np.int8)
+    # Pairs seen on both sides come in the same order in idx_a and idx_b,
+    # so these two position lists are aligned.
+    both_a = np.flatnonzero(click[idx_a] == CLICK_BOTH)
+    both_b = np.flatnonzero(click[idx_b] == CLICK_BOTH)
+    correlated = (basis_a[both_a] == basis_b[both_b]) & (mode[idx_a[both_a]] == MODE_GOOD)
+    at_a, at_b = both_a[correlated], both_b[correlated]
+    error_p = matched_basis_error_probability(source.intrinsic_visibility)
     if qber_drift_per_s != 0.0:
-        t_seconds = transits_a.arrival_ps / PS_PER_SECOND
-        error_p = np.clip(error_p + qber_drift_per_s * t_seconds, 0.0, 0.5)
-    correlated = (
-        (basis_a == basis_b) & ~transits_a.depolarized & ~transits_b.depolarized
-    )
-    bit_b = np.where(
-        correlated, bit_a ^ (flip_draw < error_p), bit_b_uncorrelated
-    ).astype(np.int8)
+        arrival_s = (emitted[idx_a[at_a]] + budget.first_order_delay_ps[0]) / PS_PER_SECOND
+        error_p = np.clip(error_p + qber_drift_per_s * arrival_s, 0.0, 0.5)
+    bit_b[at_b] = bit_a[at_a] ^ (rng.random(at_a.size) < error_p)
 
     streams = []
-    for transits, basis, bit, det in (
-        (transits_a, basis_a, bit_a, det_a),
-        (transits_b, basis_b, bit_b, det_b),
+    for side, idx, basis, bit, degraded in (
+        (0, idx_a, basis_a, bit_a, MODE_DEGRADED_A),
+        (1, idx_b, basis_b, bit_b, MODE_DEGRADED_B),
     ):
-        rejection = 10.0 ** (-det.second_mode_rejection_db / 10.0)
-        p_detect = det.efficiency * np.where(transits.second_order, rejection, 1.0)
-        kept = transits.survived & (rng.random(n) < p_detect)
-        idx = np.flatnonzero(kept)
-        times = transits.arrival_ps[idx]
-        if det.jitter_sigma_ps > 0:
-            times = times + np.rint(
-                rng.normal(0.0, det.jitter_sigma_ps, size=idx.size)
+        second = mode[idx] == degraded
+        times = emitted[idx] + budget.first_order_delay_ps[side]
+        times += second * budget.mode_delay_ps[side]
+        if detector.jitter_sigma_ps > 0:
+            times += np.rint(
+                rng.normal(0.0, detector.jitter_sigma_ps, size=idx.size)
             ).astype(np.int64)
         stream = TagStream(
-            times_ps=times.astype(np.int64),
-            detectors=(2 * basis[idx] + bit[idx]).astype(np.int8),
+            times_ps=times,
+            detectors=2 * basis + bit,
             origins=np.full(idx.size, TagOrigin.PAIR, dtype=np.int8),
             pair_ids=idx.astype(np.int64),
-            modes=transits.second_order[idx].astype(np.int8),
+            modes=second.astype(np.int8),
         )
         streams.append(stream.sorted_by_time())
     return streams[0], streams[1]

@@ -161,6 +161,22 @@ def test_a6_extrapolated_reach():
             assert check(report.asymptotic_rate), f"length {length} km"
 
 
+def test_a6_timetag_session():
+    # The A6 operating point simulated tag by tag: 8 km arms, 15 Mpairs/s,
+    # active traffic, 100 s of source time. QBER within 4 sigma + 0.002 and
+    # sifted bits within 4 sqrt(n) of the closed-form prediction.
+    with criterion("A6 timetag session"):
+        source = SourceParams(pair_rate=15e6, intrinsic_visibility=0.95)
+        arm = ChannelConfig(length_km=8.0, traffic=_active())
+        predicted = predict_key_rates(source, arm, arm, duration_s=100.0)
+        report, _ = _session(8.0, _active(), duration_s=100.0, seed=6600, pair_rate=15e6)
+        sigma = math.sqrt(predicted.qber * (1 - predicted.qber) / report.sifted_bits)
+        assert abs(report.qber - predicted.qber) < 4 * sigma + 0.002
+        assert abs(report.sifted_bits - predicted.sifted_bits) < 4 * math.sqrt(
+            predicted.sifted_bits
+        )
+
+
 def test_a7_finite_key_feasibility():
     # The degraded 3 km operating point (alignment-limited visibility 0.78,
     # hence QBER >= 0.08) cannot reach the finite-key threshold within 10

@@ -7,13 +7,12 @@ from fiberqkd.channel import (
     ChannelConfig,
     ClassicalTraffic,
     TrafficDirection,
-    assign_pair_modes,
     background_rate_per_detector,
-    propagate_arm,
     second_mode_delay_ps,
     transmittance,
 )
-from fiberqkd.pairgen import SourceParams, generate_pair_stream
+from fiberqkd.pairgen import SourceParams
+from perphoton import assign_pair_modes, generate_pair_stream, propagate_arm
 
 
 def _pairs(n=100_000, rate=1e6, seed=11):

@@ -6,10 +6,10 @@ import pytest
 from fiberqkd.pairgen import (
     Basis,
     SourceParams,
-    generate_pair_stream,
     joint_outcome_probability,
     matched_basis_error_probability,
 )
+from perphoton import generate_pair_stream
 
 BASES = (Basis.RECTILINEAR, Basis.DIAGONAL)
 BITS = (0, 1)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import make_tag_stream
-from fiberqkd.channel import ArmTransits, ChannelConfig, propagate_arm
-from fiberqkd.pairgen import SourceParams, generate_pair_stream
+from fiberqkd.channel import ChannelConfig
+from fiberqkd.pairgen import SourceParams
 from fiberqkd.receiver import (
     NUM_DETECTORS,
     DetectorParams,
@@ -13,10 +13,10 @@ from fiberqkd.receiver import (
     TagStream,
     add_noise_tags,
     apply_dead_time,
-    detect_pairs,
     read_tags,
     write_tags,
 )
+from perphoton import ArmTransits, detect_pairs, generate_pair_stream, propagate_arm
 
 
 def _lossless_transits(n=50_000, seed=1, all_second_order=False):
