@@ -101,18 +101,7 @@ class TagStream:
         return self.take(order)
 
     def is_sorted(self) -> bool:
-        return bool(np.all(np.diff(self.times_ps) >= 0))
-
-
-def concat_streams(*streams: TagStream) -> TagStream:
-    merged = TagStream(
-        times_ps=np.concatenate([s.times_ps for s in streams]),
-        detectors=np.concatenate([s.detectors for s in streams]),
-        origins=np.concatenate([s.origins for s in streams]),
-        pair_ids=np.concatenate([s.pair_ids for s in streams]),
-        modes=np.concatenate([s.modes for s in streams]),
-    )
-    return merged.sorted_by_time()
+        return bool(np.all(self.times_ps[1:] >= self.times_ps[:-1]))
 
 
 # Classes of a pair, indexing ``LinkBudget.class_probs[mode, click]``. A
@@ -272,7 +261,9 @@ def add_noise_tags(
     """Merge an independent Poisson click process into the stream.
 
     Each of the four detectors receives Poisson(rate * duration) extra tags
-    uniform over [0, duration); the result is re-sorted.
+    uniform over [0, duration). The result is sorted by time; tags with
+    equal times keep stream tags first and each group in its own order,
+    as a stable sort of the concatenated streams would.
     """
     if not (math.isfinite(rate_cps_per_detector) and rate_cps_per_detector >= 0):
         raise ValueError(
@@ -284,16 +275,31 @@ def add_noise_tags(
     duration_ps = int(round(duration_s * PS_PER_SECOND))
     counts = rng.poisson(rate_cps_per_detector * duration_s, size=NUM_DETECTORS)
     total = int(counts.sum())
-    noise = TagStream(
-        times_ps=rng.integers(0, duration_ps, size=total, dtype=np.int64),
-        detectors=np.repeat(
-            np.arange(NUM_DETECTORS, dtype=np.int8), counts
-        ),
-        origins=np.full(total, int(origin), dtype=np.int8),
-        pair_ids=np.full(total, -1, dtype=np.int64),
-        modes=np.full(total, -1, dtype=np.int8),
+    times = rng.integers(0, duration_ps, size=total, dtype=np.int64)
+    detectors = np.repeat(np.arange(NUM_DETECTORS, dtype=np.int8), counts)
+    order = np.argsort(times, kind="stable")
+    times, detectors = times[order], detectors[order]
+    if not stream.is_sorted():
+        stream = stream.sorted_by_time()
+    # Each noise tag goes after the stream tags at or before its time and
+    # after the noise tags sorted ahead of it.
+    at = np.searchsorted(stream.times_ps, times, side="right") + np.arange(total)
+    from_stream = np.ones(len(stream) + total, dtype=bool)
+    from_stream[at] = False
+
+    def merged(ours: np.ndarray, noise) -> np.ndarray:
+        out = np.empty(from_stream.size, dtype=ours.dtype)
+        out[from_stream] = ours
+        out[at] = noise
+        return out
+
+    return TagStream(
+        times_ps=merged(stream.times_ps, times),
+        detectors=merged(stream.detectors, detectors),
+        origins=merged(stream.origins, int(origin)),
+        pair_ids=merged(stream.pair_ids, -1),
+        modes=merged(stream.modes, -1),
     )
-    return concat_streams(stream, noise)
 
 
 def apply_dead_time(stream: TagStream, dead_time_ns: float) -> TagStream:
@@ -339,15 +345,27 @@ def _dead_time_keep(times: np.ndarray, dead_ps: int) -> np.ndarray:
         keep[kept_idx[1:][first_of_run]] = False
 
 
+# Rows per chunk of text output: large enough to amortize the per-chunk
+# calls, small enough that the chunk's strings stay a few megabytes.
+TEXT_CHUNK_ROWS = 1 << 16
+
+
 def write_tags(stream: TagStream, path) -> None:
     """Dump a tag stream as text, one ``<time_ps> <detector> <origin>`` line
     per tag (origin codes: p=pair, b=background, d=dark).
     """
+    if len(stream) and (stream.origins.min() < 0 or stream.origins.max() >= len(TagOrigin)):
+        raise ValueError("tag origins must be TagOrigin values")
+    codes = np.array([_ORIGIN_CODES[origin] for origin in TagOrigin])
     with open(path, "w", encoding="ascii") as fh:
-        for t, d, o in zip(
-            stream.times_ps.tolist(), stream.detectors.tolist(), stream.origins.tolist()
-        ):
-            fh.write(f"{t} {d} {_ORIGIN_CODES[TagOrigin(o)]}\n")
+        for start in range(0, len(stream), TEXT_CHUNK_ROWS):
+            rows = slice(start, start + TEXT_CHUNK_ROWS)
+            fh.write("".join(map(
+                "{} {} {}\n".format,
+                stream.times_ps[rows].tolist(),
+                stream.detectors[rows].tolist(),
+                codes[stream.origins[rows]].tolist(),
+            )))
 
 
 def read_tags(path) -> TagStream:

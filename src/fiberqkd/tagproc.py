@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .receiver import TagStream
+from .receiver import TEXT_CHUNK_ROWS, TagStream
 
 DEFAULT_SEARCH_SPAN_PS = 50_000_000  # +-50 us
 DEFAULT_BIN_WIDTH_PS = 200
@@ -171,36 +171,43 @@ def match_coincidences(
 ) -> Coincidences:
     """Greedily pair tags with |time_b - time_a - offset| <= window/2.
 
-    Two-pointer scan: earlier tags are matched first and every tag is used
-    at most once. ``window_ps`` is the full window width.
+    Greedy earliest-first: A tags are taken in time order, and each is
+    paired with the earliest B tag inside its window that no earlier A tag
+    took, so every tag is used at most once. ``window_ps`` is the full
+    window width.
+
+    Each A tag's window is a range [lo, hi) of B indices, found by binary
+    search. A tag whose range starts at or after the end of its
+    predecessor's range shares no candidate with any earlier tag and takes
+    B tag ``lo`` when the range is not empty. Only runs of "chained" tags,
+    whose ranges overlap their predecessor's, need the sequential rule
+    pick = max(lo, last matched pick + 1); ``_chained_picks`` resolves them
+    with array passes.
     """
     if window_ps < 0:
         raise ValueError(f"window_ps must be >= 0, got {window_ps}")
     if not tags_a.is_sorted() or not tags_b.is_sorted():
         raise ValueError("tag streams must be sorted by time")
-    ta = tags_a.times_ps.tolist()
-    tb = tags_b.times_ps.tolist()
+    ta = tags_a.times_ps
+    tb = tags_b.times_ps
     offset = int(offset_ps)
-    window = int(window_ps)
-    idx_a: list[int] = []
-    idx_b: list[int] = []
-    i = j = 0
-    na, nb = len(ta), len(tb)
-    while i < na and j < nb:
-        doubled = 2 * (tb[j] - ta[i] - offset)
-        if doubled < -window:
-            j += 1
-        elif doubled > window:
-            i += 1
-        else:
-            idx_a.append(i)
-            idx_b.append(j)
-            i += 1
-            j += 1
-    ia = np.asarray(idx_a, dtype=np.int64)
-    ib = np.asarray(idx_b, dtype=np.int64)
-    times_a = tags_a.times_ps[ia]
-    times_b = tags_b.times_ps[ib]
+    half = int(window_ps) // 2
+    # Integer times make 2*|tb - ta - offset| <= window equivalent to
+    # ta + offset - window//2 <= tb <= ta + offset + window//2.
+    lo = np.searchsorted(tb, ta + (offset - half), side="left")
+    hi = np.searchsorted(tb, ta + (offset + half), side="right")
+    chained = lo[1:] < hi[:-1]
+    # A run of chained tags starts at the tag before its first one.
+    in_run = np.zeros(lo.size, dtype=bool)
+    in_run[1:] = chained
+    in_run[:-1] |= chained
+    run = np.flatnonzero(in_run)
+    # From here lo holds each A tag's pick, a match when below hi.
+    lo[run] = _chained_picks(lo[run], hi[run])
+    ia = np.flatnonzero(lo < hi)
+    ib = lo[ia]
+    times_a = ta[ia]
+    times_b = tb[ib]
     return Coincidences(
         times_a=times_a,
         times_b=times_b,
@@ -211,6 +218,44 @@ def match_coincidences(
         idx_b=ib,
         offset_ps=offset,
     )
+
+
+# Runs of chained tags in recorded streams settle in two or three passes;
+# a window wide against the tag spacing can chain most of a stream, and
+# then the sequential rule bounds the cost.
+_MAX_CHAIN_PASSES = 8
+
+
+def _chained_picks(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The B index each A tag of the given runs picks under the greedy rule.
+
+    With matched flags known, pick_i = max(lo_i, last matched pick + 1)
+    unrolls to C_i + max over k <= i of (lo_k - C_k), C being the count of
+    matched tags before i; a tag is matched when its pick is below hi_i.
+    Each pass recomputes every pick from the previous pass's flags. The
+    flags up to the first one a pass changes are final, so every pass
+    fixes at least one more tag and an unchanged pass is the sequential
+    result; runs still moving after ``_MAX_CHAIN_PASSES`` passes are
+    resolved by the sequential rule itself. No tag of an earlier run can
+    raise a pick, because its matched pick lies below the next run's
+    first lo.
+    """
+    matched = lo < hi
+    for _ in range(_MAX_CHAIN_PASSES):
+        before = np.cumsum(matched) - matched
+        picks = before + np.maximum.accumulate(lo - before)
+        now = picks < hi
+        if np.array_equal(now, matched):
+            return picks
+        matched = now
+    picks = []
+    last = -1
+    for first, end in zip(lo.tolist(), hi.tolist()):
+        pick = first if first > last else last + 1
+        picks.append(pick)
+        if pick < end:
+            last = pick
+    return np.array(picks, dtype=lo.dtype)
 
 
 def temporal_mode_filter(
@@ -266,16 +311,17 @@ _COINCIDENCE_FIELDS = ("time_a_ps", "time_b_ps", "det_a", "det_b", "delta_ps")
 def write_coincidences(records: Coincidences, path) -> None:
     """Write records as CSV: time_a_ps,time_b_ps,det_a,det_b,delta_ps."""
     with open(path, "w", encoding="ascii", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_COINCIDENCE_FIELDS)
-        for row in zip(
-            records.times_a.tolist(),
-            records.times_b.tolist(),
-            records.det_a.tolist(),
-            records.det_b.tolist(),
-            records.delta.tolist(),
-        ):
-            writer.writerow(row)
+        fh.write(",".join(_COINCIDENCE_FIELDS) + "\n")
+        for start in range(0, len(records), TEXT_CHUNK_ROWS):
+            rows = slice(start, start + TEXT_CHUNK_ROWS)
+            fh.write("".join(map(
+                "{},{},{},{},{}\n".format,
+                records.times_a[rows].tolist(),
+                records.times_b[rows].tolist(),
+                records.det_a[rows].tolist(),
+                records.det_b[rows].tolist(),
+                records.delta[rows].tolist(),
+            )))
 
 
 def read_coincidences(path, offset_ps: int = 0) -> Coincidences:

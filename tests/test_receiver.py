@@ -5,7 +5,8 @@ import pytest
 
 from conftest import make_tag_stream
 from fiberqkd.channel import ChannelConfig
-from fiberqkd.pairgen import SourceParams
+from fiberqkd import receiver
+from fiberqkd.pairgen import PS_PER_SECOND, SourceParams
 from fiberqkd.receiver import (
     NUM_DETECTORS,
     DetectorParams,
@@ -167,6 +168,52 @@ def test_dark_counts_mean():
     assert abs(len(noisy) - 1200) < 4 * sigma
 
 
+def _noise_merge_reference(stream, rate, origin, duration_s, seed):
+    """Concatenate the noise tags, drawn as ``add_noise_tags`` draws them,
+    to the stream and stable-sort the whole by time."""
+    rng = np.random.default_rng(seed)
+    counts = rng.poisson(rate * duration_s, size=NUM_DETECTORS)
+    total = int(counts.sum())
+    noise = TagStream(
+        times_ps=rng.integers(0, int(round(duration_s * PS_PER_SECOND)), size=total, dtype=np.int64),
+        detectors=np.repeat(np.arange(NUM_DETECTORS, dtype=np.int8), counts),
+        origins=np.full(total, int(origin), dtype=np.int8),
+        pair_ids=np.full(total, -1, dtype=np.int64),
+        modes=np.full(total, -1, dtype=np.int8),
+    )
+    merged = TagStream(
+        **{
+            name: np.concatenate([getattr(stream, name), getattr(noise, name)])
+            for name in ("times_ps", "detectors", "origins", "pair_ids", "modes")
+        }
+    )
+    return merged.take(np.argsort(merged.times_ps, kind="stable"))
+
+
+@pytest.mark.parametrize("seed", [4, 5, 6])
+def test_noise_merge_equals_concat_and_stable_sort(rng, seed):
+    # 50 ps of source time at 4e12 cps per detector: about 200 noise tags
+    # per detector on 50 distinct times, so noise tags tie with each other
+    # and, on the same detectors, with the stream's tags at those times.
+    duration_s = 50e-12
+    rate = 4e12
+    n = 300
+    stream = TagStream(
+        times_ps=np.sort(rng.integers(-5, 55, size=n, dtype=np.int64)),
+        detectors=rng.integers(0, NUM_DETECTORS, size=n).astype(np.int8),
+        origins=np.zeros(n, dtype=np.int8),
+        pair_ids=np.arange(n, dtype=np.int64),
+        modes=rng.integers(0, 2, size=n).astype(np.int8),
+    )
+    cases = [stream, TagStream.empty(), stream.take(rng.permutation(n))]
+    for case in cases:
+        got = add_noise_tags(case, rate, TagOrigin.BACKGROUND, duration_s, seed)
+        want = _noise_merge_reference(case, rate, TagOrigin.BACKGROUND, duration_s, seed)
+        for name in ("times_ps", "detectors", "origins", "pair_ids", "modes"):
+            assert getattr(got, name).dtype == getattr(want, name).dtype
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
 def test_singles_budget_by_origin():
     # Per-detector totals decompose into pair + background + dark rates.
     _, transits = _lossless_transits(100_000)
@@ -280,3 +327,27 @@ def test_read_tags_rejects_malformed(tmp_path):
     path.write_text("12 0 p\n13 1 zz\n")
     with pytest.raises(ValueError):
         read_tags(path)
+
+
+@pytest.mark.parametrize("chunk_rows", [2, receiver.TEXT_CHUNK_ROWS])
+def test_write_tags_exact_bytes(monkeypatch, tmp_path, chunk_rows):
+    monkeypatch.setattr(receiver, "TEXT_CHUNK_ROWS", chunk_rows)
+    stream = make_tag_stream(
+        [-40, 0, 7, 7, 123_456_789_012_345],
+        detectors=[3, 0, 1, 2, 3],
+        origins=[2, 0, 1, 2, 0],
+    )
+    path = tmp_path / "tags.txt"
+    write_tags(stream, path)
+    assert path.read_bytes() == (
+        b"-40 3 d\n0 0 p\n7 1 b\n7 2 d\n123456789012345 3 p\n"
+    )
+    write_tags(TagStream.empty(), path)
+    assert path.read_bytes() == b""
+
+
+@pytest.mark.parametrize("origin", [-1, 3])
+def test_write_tags_rejects_unknown_origin(tmp_path, origin):
+    stream = make_tag_stream([1, 2], origins=[0, origin])
+    with pytest.raises(ValueError):
+        write_tags(stream, tmp_path / "tags.txt")

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import make_tag_stream
+from fiberqkd import tagproc
 from fiberqkd.tagproc import (
     Coincidences,
     ModeFilterWarning,
@@ -130,7 +133,7 @@ def test_match_aligned_streams_all_matched():
 
 def _match_oracle(ta, tb, offset, window):
     """Greedy earliest-first matching, written as an explicit scan over
-    unused partners (independent of the two-pointer implementation)."""
+    unused partners (independent of the implementation under test)."""
     used = np.zeros(len(tb), dtype=bool)
     pairs = []
     start = 0
@@ -171,6 +174,92 @@ def test_match_equals_oracle_large_instance(rng):
     records = match_coincidences(make_tag_stream(ta), make_tag_stream(tb), 0, 2000)
     expected = _match_oracle(ta.tolist(), tb.tolist(), 0, 2000)
     assert list(zip(records.idx_a.tolist(), records.idx_b.tolist())) == expected
+
+
+def _assert_matches_oracle(ta, tb, offset, window):
+    ta, tb = sorted(ta), sorted(tb)
+    records = match_coincidences(make_tag_stream(ta), make_tag_stream(tb), offset, window)
+    pairs = list(zip(records.idx_a.tolist(), records.idx_b.tolist()))
+    assert pairs == _match_oracle(ta, tb, offset, window)
+    return pairs
+
+
+_small_times = st.lists(st.integers(0, 300), max_size=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    ta=_small_times,
+    tb=_small_times,
+    offset=st.integers(-120, 120),
+    window=st.integers(0, 150),
+)
+@example(ta=[], tb=[], offset=0, window=2000)
+@example(ta=[], tb=[5, 9], offset=0, window=2000)
+@example(ta=[5, 9], tb=[], offset=0, window=2000)
+@example(ta=[3, 3, 10], tb=[3, 4, 10, 11], offset=0, window=0)
+@example(ta=[3, 3, 10], tb=[2, 4, 9, 11], offset=-1, window=3)
+def test_match_property_equals_oracle(ta, tb, offset, window):
+    # Empty and one-sided streams, window 0, odd windows, negative offsets.
+    _assert_matches_oracle(ta, tb, offset, window)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    na=st.integers(0, 60),
+    nb=st.integers(0, 60),
+    t=st.integers(0, 1_000),
+    lag=st.integers(-3, 3),
+    offset=st.integers(-3, 3),
+    window=st.integers(0, 8),
+)
+def test_match_property_all_equal_timestamps(na, nb, t, lag, offset, window):
+    _assert_matches_oracle([t] * na, [t + lag] * nb, offset, window)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    ta=st.lists(st.integers(0, 50), min_size=1, max_size=80),
+    tb=st.lists(st.integers(0, 50), min_size=1, max_size=80),
+    offset=st.integers(-10, 10),
+    extra=st.integers(0, 40),
+)
+def test_match_property_burst_in_one_window(ta, tb, offset, extra):
+    # Every B tag is a candidate of every A tag, so the A tags form one
+    # long chain and the greedy rule matches min(na, nb) pairs.
+    window = 2 * (50 + 10) + extra
+    pairs = _assert_matches_oracle(ta, tb, offset, window)
+    assert len(pairs) == min(len(ta), len(tb))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    ta=_small_times,
+    tb=_small_times,
+    window=st.integers(0, 150),
+    side=st.sampled_from([-1, 1]),
+    beyond=st.integers(1, 10_000),
+)
+def test_match_property_offset_out_of_range(ta, tb, window, side, beyond):
+    # Times lie in [0, 300], so |offset| > 300 + window/2 leaves no B tag
+    # inside any A tag's window.
+    offset = side * (300 + window // 2 + beyond)
+    assert _assert_matches_oracle(ta, tb, offset, window) == []
+
+
+@pytest.mark.parametrize("max_passes", [0, 1, 1_000])
+def test_match_chain_resolution_paths_equal_oracle(monkeypatch, rng, max_passes):
+    # Dense streams with a window of many tag spacings chain almost every
+    # tag; the array passes (or, past the pass limit, the sequential rule)
+    # must give the oracle's pairs.
+    monkeypatch.setattr(tagproc, "_MAX_CHAIN_PASSES", max_passes)
+    for _ in range(20):
+        na, nb = rng.integers(50, 300, size=2)
+        ta = np.sort(rng.integers(0, 3_000, size=na, dtype=np.int64))
+        tb = np.sort(rng.integers(0, 3_000, size=nb, dtype=np.int64))
+        offset = int(rng.integers(-100, 100))
+        window = int(rng.integers(50, 1_500))
+        _assert_matches_oracle(ta.tolist(), tb.tolist(), offset, window)
 
 
 def test_match_injective(rng):
@@ -354,3 +443,25 @@ def test_coincidence_csv_roundtrip(tmp_path, rng):
     assert np.array_equal(loaded.delta, records.delta)
     first_line = path.read_text().splitlines()[0]
     assert first_line == "time_a_ps,time_b_ps,det_a,det_b,delta_ps"
+
+
+@pytest.mark.parametrize("chunk_rows", [2, tagproc.TEXT_CHUNK_ROWS])
+def test_write_coincidences_exact_bytes(monkeypatch, tmp_path, chunk_rows):
+    monkeypatch.setattr(tagproc, "TEXT_CHUNK_ROWS", chunk_rows)
+    records = _records(
+        [0, -1_250, 4_400, -4_400, 17],
+        det_a=[0, 1, 2, 3, 0],
+        det_b=[3, 2, 1, 0, 0],
+    )
+    path = tmp_path / "coincidences.csv"
+    write_coincidences(records, path)
+    assert path.read_bytes() == (
+        b"time_a_ps,time_b_ps,det_a,det_b,delta_ps\n"
+        b"0,0,0,3,0\n"
+        b"1000000,998750,1,2,-1250\n"
+        b"2000000,2004400,2,1,4400\n"
+        b"3000000,2995600,3,0,-4400\n"
+        b"4000000,4000017,0,0,17\n"
+    )
+    write_coincidences(records.take(np.zeros(5, dtype=bool)), path)
+    assert path.read_bytes() == b"time_a_ps,time_b_ps,det_a,det_b,delta_ps\n"
