@@ -350,6 +350,15 @@ def _dead_time_keep(times: np.ndarray, dead_ps: int) -> np.ndarray:
 TEXT_CHUNK_ROWS = 1 << 16
 
 
+def write_rows(fh, fmt: str, *columns: np.ndarray) -> None:
+    """Write one ``fmt``-formatted line per row of the equal-length columns,
+    building the text in chunks of ``TEXT_CHUNK_ROWS`` rows."""
+    n = len(columns[0])
+    for start in range(0, n, TEXT_CHUNK_ROWS):
+        rows = slice(start, start + TEXT_CHUNK_ROWS)
+        fh.write("".join(map(fmt.format, *(col[rows].tolist() for col in columns))))
+
+
 def write_tags(stream: TagStream, path) -> None:
     """Dump a tag stream as text, one ``<time_ps> <detector> <origin>`` line
     per tag (origin codes: p=pair, b=background, d=dark).
@@ -358,14 +367,13 @@ def write_tags(stream: TagStream, path) -> None:
         raise ValueError("tag origins must be TagOrigin values")
     codes = np.array([_ORIGIN_CODES[origin] for origin in TagOrigin])
     with open(path, "w", encoding="ascii") as fh:
-        for start in range(0, len(stream), TEXT_CHUNK_ROWS):
-            rows = slice(start, start + TEXT_CHUNK_ROWS)
-            fh.write("".join(map(
-                "{} {} {}\n".format,
-                stream.times_ps[rows].tolist(),
-                stream.detectors[rows].tolist(),
-                codes[stream.origins[rows]].tolist(),
-            )))
+        write_rows(
+            fh,
+            "{} {} {}\n",
+            stream.times_ps,
+            stream.detectors,
+            codes[stream.origins],
+        )
 
 
 def read_tags(path) -> TagStream:

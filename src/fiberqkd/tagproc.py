@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .receiver import TEXT_CHUNK_ROWS, TagStream
+from .receiver import TagStream, write_rows
 
 DEFAULT_SEARCH_SPAN_PS = 50_000_000  # +-50 us
 DEFAULT_BIN_WIDTH_PS = 200
@@ -181,8 +181,8 @@ def match_coincidences(
     predecessor's range shares no candidate with any earlier tag and takes
     B tag ``lo`` when the range is not empty. Only runs of "chained" tags,
     whose ranges overlap their predecessor's, need the sequential rule
-    pick = max(lo, last matched pick + 1); ``_chained_picks`` resolves them
-    with array passes.
+    pick = max(lo, last matched pick + 1), which ``_chained_picks`` applies
+    in order.
     """
     if window_ps < 0:
         raise ValueError(f"window_ps must be >= 0, got {window_ps}")
@@ -220,34 +220,12 @@ def match_coincidences(
     )
 
 
-# Runs of chained tags in recorded streams settle in two or three passes;
-# a window wide against the tag spacing can chain most of a stream, and
-# then the sequential rule bounds the cost.
-_MAX_CHAIN_PASSES = 8
-
-
 def _chained_picks(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """The B index each A tag of the given runs picks under the greedy rule.
-
-    With matched flags known, pick_i = max(lo_i, last matched pick + 1)
-    unrolls to C_i + max over k <= i of (lo_k - C_k), C being the count of
-    matched tags before i; a tag is matched when its pick is below hi_i.
-    Each pass recomputes every pick from the previous pass's flags. The
-    flags up to the first one a pass changes are final, so every pass
-    fixes at least one more tag and an unchanged pass is the sequential
-    result; runs still moving after ``_MAX_CHAIN_PASSES`` passes are
-    resolved by the sequential rule itself. No tag of an earlier run can
-    raise a pick, because its matched pick lies below the next run's
-    first lo.
+    """The B index each A tag of the given runs picks under the greedy rule
+    pick = max(lo, last matched pick + 1); the tag is matched when its pick
+    is below its hi. No tag of an earlier run can raise a pick, because its
+    matched pick lies below the next run's first lo.
     """
-    matched = lo < hi
-    for _ in range(_MAX_CHAIN_PASSES):
-        before = np.cumsum(matched) - matched
-        picks = before + np.maximum.accumulate(lo - before)
-        now = picks < hi
-        if np.array_equal(now, matched):
-            return picks
-        matched = now
     picks = []
     last = -1
     for first, end in zip(lo.tolist(), hi.tolist()):
@@ -312,16 +290,15 @@ def write_coincidences(records: Coincidences, path) -> None:
     """Write records as CSV: time_a_ps,time_b_ps,det_a,det_b,delta_ps."""
     with open(path, "w", encoding="ascii", newline="") as fh:
         fh.write(",".join(_COINCIDENCE_FIELDS) + "\n")
-        for start in range(0, len(records), TEXT_CHUNK_ROWS):
-            rows = slice(start, start + TEXT_CHUNK_ROWS)
-            fh.write("".join(map(
-                "{},{},{},{},{}\n".format,
-                records.times_a[rows].tolist(),
-                records.times_b[rows].tolist(),
-                records.det_a[rows].tolist(),
-                records.det_b[rows].tolist(),
-                records.delta[rows].tolist(),
-            )))
+        write_rows(
+            fh,
+            "{},{},{},{},{}\n",
+            records.times_a,
+            records.times_b,
+            records.det_a,
+            records.det_b,
+            records.delta,
+        )
 
 
 def read_coincidences(path, offset_ps: int = 0) -> Coincidences:

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_tag_stream
-from fiberqkd import tagproc
+from fiberqkd import receiver
 from fiberqkd.tagproc import (
     Coincidences,
     ModeFilterWarning,
@@ -247,12 +247,9 @@ def test_match_property_offset_out_of_range(ta, tb, window, side, beyond):
     assert _assert_matches_oracle(ta, tb, offset, window) == []
 
 
-@pytest.mark.parametrize("max_passes", [0, 1, 1_000])
-def test_match_chain_resolution_paths_equal_oracle(monkeypatch, rng, max_passes):
+def test_match_dense_chains_equal_oracle(rng):
     # Dense streams with a window of many tag spacings chain almost every
-    # tag; the array passes (or, past the pass limit, the sequential rule)
-    # must give the oracle's pairs.
-    monkeypatch.setattr(tagproc, "_MAX_CHAIN_PASSES", max_passes)
+    # tag; the chained-tag resolution must give the oracle's pairs.
     for _ in range(20):
         na, nb = rng.integers(50, 300, size=2)
         ta = np.sort(rng.integers(0, 3_000, size=na, dtype=np.int64))
@@ -445,9 +442,9 @@ def test_coincidence_csv_roundtrip(tmp_path, rng):
     assert first_line == "time_a_ps,time_b_ps,det_a,det_b,delta_ps"
 
 
-@pytest.mark.parametrize("chunk_rows", [2, tagproc.TEXT_CHUNK_ROWS])
+@pytest.mark.parametrize("chunk_rows", [2, receiver.TEXT_CHUNK_ROWS])
 def test_write_coincidences_exact_bytes(monkeypatch, tmp_path, chunk_rows):
-    monkeypatch.setattr(tagproc, "TEXT_CHUNK_ROWS", chunk_rows)
+    monkeypatch.setattr(receiver, "TEXT_CHUNK_ROWS", chunk_rows)
     records = _records(
         [0, -1_250, 4_400, -4_400, 17],
         det_a=[0, 1, 2, 3, 0],
