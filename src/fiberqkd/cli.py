@@ -240,7 +240,6 @@ def _run_point(
         source=SourceParams(
             pair_rate=config.pair_rate,
             intrinsic_visibility=config.intrinsic_visibility,
-            duration_s=config.duration_s,
         ),
         detector=config.detector,
         qber_drift_per_s=config.qber_drift_per_s,
@@ -408,7 +407,6 @@ def _run_extrapolation(config, out_dir: Path, summary: list[str]) -> dict[str, P
     source = SourceParams(
         pair_rate=config.extrapolation_pair_rate,
         intrinsic_visibility=config.intrinsic_visibility,
-        duration_s=config.duration_s,
     )
     for length in config.resolved_lengths_km():
         arm = _channel_for(config, length, config.traffic)

@@ -9,6 +9,7 @@ basis is ``detector >> 1`` and its outcome bit ``detector & 1``.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -27,7 +28,6 @@ class TagOrigin(IntEnum):
 
 
 _ORIGIN_CODES = {TagOrigin.PAIR: "p", TagOrigin.BACKGROUND: "b", TagOrigin.DARK: "d"}
-_CODE_ORIGINS = {code: origin for origin, code in _ORIGIN_CODES.items()}
 
 
 @dataclass(frozen=True)
@@ -376,30 +376,60 @@ def write_tags(stream: TagStream, path) -> None:
         )
 
 
+def load_text_rows(path, **loadtxt_kwargs) -> np.ndarray:
+    """Parse the ASCII file at ``path`` with ``np.loadtxt``, one row per
+    non-blank line and no comment syntax. A file without data rows gives
+    an empty array and no warning; a line numpy cannot parse raises
+    ValueError naming ``path`` and numpy's account of the row.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            return np.loadtxt(path, comments=None, encoding="ascii", **loadtxt_kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
+def reject_bad_rows(path, rows: np.ndarray, bad: np.ndarray, reason: str) -> None:
+    """Raise ValueError naming ``path``, ``reason`` and the first row of
+    ``rows`` flagged in ``bad``, counted from 1 without blank lines."""
+    if bad.any():
+        index = int(np.argmax(bad))
+        raise ValueError(f"{path}: data row {index + 1} {rows[index].tolist()}: {reason}")
+
+
+# One line of the tag format. The origin field is two bytes wide so that a
+# code longer than one letter fails the code check instead of being cut.
+_TAG_ROW = np.dtype([("time", np.int64), ("detector", np.int8), ("origin", "S2")])
+
+
 def read_tags(path) -> TagStream:
     """Parse a tag stream from the text format written by ``write_tags``.
 
-    Pair identities and mode flags are not part of the format and come back
-    as -1.
+    Each non-blank line holds a time, a detector and an origin code
+    separated by whitespace. A line with another field count, a
+    non-integer time or detector, a detector outside 0..3, an unknown
+    origin code or a trailing comment raises ValueError naming ``path``.
+    The tags come back sorted by time; pair identities and mode flags are
+    not part of the format and come back as -1.
     """
-    times, detectors, origins = [], [], []
-    with open(path, "r", encoding="ascii") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            fields = line.split()
-            if len(fields) != 3 or fields[2] not in _CODE_ORIGINS:
-                raise ValueError(f"{path}:{line_no}: malformed tag line {line!r}")
-            times.append(int(fields[0]))
-            detectors.append(int(fields[1]))
-            origins.append(int(_CODE_ORIGINS[fields[2]]))
+    rows = load_text_rows(path, dtype=_TAG_ROW, ndmin=1)
+    detectors = rows["detector"]
+    origins = np.full(rows.size, -1, dtype=np.int8)
+    for origin, code in _ORIGIN_CODES.items():
+        origins[rows["origin"] == code.encode()] = origin
+    reject_bad_rows(
+        path,
+        rows,
+        (detectors < 0) | (detectors >= NUM_DETECTORS) | (origins < 0),
+        "detector must be 0..3 and origin p, b or d",
+    )
     stream = TagStream(
-        times_ps=np.asarray(times, dtype=np.int64),
-        detectors=np.asarray(detectors, dtype=np.int8),
-        origins=np.asarray(origins, dtype=np.int8),
-        pair_ids=np.full(len(times), -1, dtype=np.int64),
-        modes=np.full(len(times), -1, dtype=np.int8),
+        times_ps=np.ascontiguousarray(rows["time"]),
+        detectors=np.ascontiguousarray(detectors),
+        origins=origins,
+        pair_ids=np.full(rows.size, -1, dtype=np.int64),
+        modes=np.full(rows.size, -1, dtype=np.int8),
     )
     if not stream.is_sorted():
         stream = stream.sorted_by_time()

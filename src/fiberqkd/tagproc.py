@@ -4,13 +4,12 @@ arrival-time mode filtering, and visibility/QBER estimation.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .receiver import TagStream, write_rows
+from .receiver import NUM_DETECTORS, TagStream, load_text_rows, reject_bad_rows, write_rows
 
 DEFAULT_SEARCH_SPAN_PS = 50_000_000  # +-50 us
 DEFAULT_BIN_WIDTH_PS = 200
@@ -302,21 +301,36 @@ def write_coincidences(records: Coincidences, path) -> None:
 
 
 def read_coincidences(path, offset_ps: int = 0) -> Coincidences:
-    """Parse a coincidence CSV written by ``write_coincidences``."""
-    with open(path, "r", encoding="ascii", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if tuple(header) != _COINCIDENCE_FIELDS:
-            raise ValueError(f"{path}: unexpected header {header!r}")
-        rows = [[int(v) for v in row] for row in reader if row]
-    data = np.asarray(rows, dtype=np.int64).reshape(len(rows), len(_COINCIDENCE_FIELDS))
+    """Parse a coincidence CSV written by ``write_coincidences``.
+
+    After the header, each non-blank line holds five comma-separated
+    integers. A wrong header, a row with another field count, a
+    non-integer field or a detector outside 0..3 raises ValueError naming
+    ``path``.
+    """
+    with open(path, "r", encoding="ascii") as fh:
+        header = fh.readline().rstrip("\n").split(",")
+    if tuple(header) != _COINCIDENCE_FIELDS:
+        raise ValueError(f"{path}: unexpected header {header!r}")
+    data = load_text_rows(path, skiprows=1, delimiter=",", dtype=np.int64, ndmin=2)
+    width = len(_COINCIDENCE_FIELDS)
+    if data.size and data.shape[1] != width:
+        raise ValueError(f"{path}: data row 1 has {data.shape[1]} fields, expected {width}")
+    data = data.reshape(-1, width)
+    detectors = data[:, 2:4]
+    reject_bad_rows(
+        path,
+        data,
+        ((detectors < 0) | (detectors >= NUM_DETECTORS)).any(axis=1),
+        "detectors must be 0..3",
+    )
     return Coincidences(
         times_a=data[:, 0],
         times_b=data[:, 1],
         det_a=data[:, 2].astype(np.int8),
         det_b=data[:, 3].astype(np.int8),
         delta=data[:, 4],
-        idx_a=np.full(len(rows), -1, dtype=np.int64),
-        idx_b=np.full(len(rows), -1, dtype=np.int64),
+        idx_a=np.full(len(data), -1, dtype=np.int64),
+        idx_b=np.full(len(data), -1, dtype=np.int64),
         offset_ps=offset_ps,
     )

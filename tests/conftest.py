@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from fiberqkd.receiver import TagStream
 
@@ -20,6 +21,14 @@ def make_tag_stream(times_ps, detectors=None, origins=None) -> TagStream:
         modes=np.full(n, -1, dtype=np.int8),
     )
     return stream.sorted_by_time()
+
+
+# Timetags for text round trips: mostly up to 15 digits either side of
+# zero, sometimes anywhere in the int64 range.
+dump_times = st.one_of(
+    st.integers(-(10**15), 10**15),
+    st.integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max),
+)
 
 
 @pytest.fixture

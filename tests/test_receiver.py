@@ -1,9 +1,13 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import make_tag_stream
+from conftest import dump_times, make_tag_stream
 from fiberqkd.channel import ChannelConfig
 from fiberqkd import receiver
 from fiberqkd.pairgen import PS_PER_SECOND, SourceParams
@@ -351,3 +355,80 @@ def test_write_tags_rejects_unknown_origin(tmp_path, origin):
     stream = make_tag_stream([1, 2], origins=[0, origin])
     with pytest.raises(ValueError):
         write_tags(stream, tmp_path / "tags.txt")
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    tags=st.lists(
+        st.tuples(
+            dump_times, st.integers(0, NUM_DETECTORS - 1), st.sampled_from(list(TagOrigin))
+        ),
+        max_size=40,
+    ),
+    pad=st.sampled_from(["", "\t", " \t  "]),
+    blank=st.sampled_from([None, "", " \t "]),
+    newline=st.sampled_from(["\n", "\r\n"]),
+)
+@example(tags=[], pad="", blank=None, newline="\n")
+@example(tags=[], pad="", blank=" ", newline="\r\n")
+@example(
+    tags=[(123_456_789_012_345, 3, TagOrigin.DARK), (-987_654_321_098_765, 0, TagOrigin.PAIR)],
+    pad="\t",
+    blank="",
+    newline="\r\n",
+)
+def test_tag_text_roundtrip_property(tmp_path_factory, tags, pad, blank, newline):
+    # Written tags, in any order and re-spaced with tabs, blank lines and
+    # CRLF ends, read back sorted by time with the written dtypes.
+    times, detectors, origins = zip(*tags) if tags else ((), (), ())
+    n = len(tags)
+    stream = TagStream(
+        times_ps=np.array(times, dtype=np.int64),
+        detectors=np.array(detectors, dtype=np.int8),
+        origins=np.array(origins, dtype=np.int8),
+        pair_ids=np.full(n, -1, dtype=np.int64),
+        modes=np.full(n, -1, dtype=np.int8),
+    )
+    path = tmp_path_factory.mktemp("tags") / "tags.txt"
+    write_tags(stream, path)
+    lines = [
+        pad + line.replace(" ", f"{pad} {pad}") + pad for line in path.read_text().splitlines()
+    ]
+    if blank is not None:
+        lines = [blank] + [out for line in lines for out in (line, blank)]
+    path.write_bytes("".join(line + newline for line in lines).encode("ascii"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        loaded = read_tags(path)
+    expected = stream.sorted_by_time()
+    for name in ("times_ps", "detectors", "origins", "pair_ids", "modes"):
+        got, want = getattr(loaded, name), getattr(expected, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+
+@pytest.mark.parametrize(
+    "line, names_row",
+    [
+        ("7 1", False),  # too few fields
+        ("7 1 p 9", False),  # too many fields
+        ("7.5 1 p", False),  # non-integer time
+        ("7 x p", False),  # non-integer detector
+        ("7 1.0 p", False),
+        ("7 1 z", True),  # unknown origin code
+        ("7 1 P", True),
+        ("7 1 pp", True),  # two-letter origin code
+        ("7 1 pb", True),
+        ("7 1 p # pair", False),  # trailing comment
+        ("7 1 p#", True),
+        ("7 -1 p", True),  # detector outside 0..3
+        ("7 4 p", True),
+        ("7 300 p", False),  # does not fit the detector field
+    ],
+)
+def test_read_tags_rejects_malformed_line(tmp_path, line, names_row):
+    path = tmp_path / "tags.txt"
+    path.write_text(f"5 0 p\n\n{line}\n9 2 d\n")
+    with pytest.raises(ValueError, match=re.escape(str(path))) as raised:
+        read_tags(path)
+    if names_row:
+        assert "data row 2 " in str(raised.value)

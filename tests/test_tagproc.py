@@ -1,12 +1,14 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_tag_stream
-from fiberqkd import receiver
+from conftest import dump_times, make_tag_stream
+from fiberqkd import receiver, tagproc
 from fiberqkd.tagproc import (
     Coincidences,
     ModeFilterWarning,
@@ -60,6 +62,42 @@ def test_histogram_counts_all_pairings(rng):
         1 for a in ta.tolist() for b in tb.tolist() if lo <= b - a < hi
     )
     assert hist.total() == brute
+
+
+def _assert_histogram_equals_brute_force(ta, tb, span, width, max_source_tags):
+    hist = correlation_histogram(
+        make_tag_stream(ta), make_tag_stream(tb), span, width, max_source_tags
+    )
+    n_bins = hist.counts.size
+    assert n_bins % 2 == 1
+    centers = hist.centers_ps
+    assert centers[n_bins // 2] == 0 and np.all(np.diff(centers) == width)
+    edges = hist.origin_ps + width * np.arange(n_bins + 1, dtype=np.int64)
+    assert edges[0] <= -span and edges[-1] > span
+    diffs = (tb[None, :] - ta[:max_source_tags, None]).ravel()
+    # np.histogram closes its last bin on the right; these bins are half-open.
+    expected, _ = np.histogram(diffs[diffs < edges[-1]], bins=edges)
+    assert np.array_equal(hist.counts, expected)
+    return edges
+
+
+@pytest.mark.parametrize("width", [1, 7, 200, 201])
+@pytest.mark.parametrize("chunk_tags", [3, None])
+def test_histogram_bins_equal_brute_force(monkeypatch, rng, width, chunk_tags):
+    # Every bin equals np.histogram of all brute-force B-minus-A differences,
+    # also when A is cut by max_source_tags and taken a few tags at a time.
+    if chunk_tags is not None:
+        monkeypatch.setattr(tagproc, "_PAIRING_CHUNK", 8 * chunk_tags)
+    for _ in range(5):
+        ta = np.sort(rng.integers(-3_000, 3_000, size=rng.integers(1, 40)))
+        tb = np.sort(rng.integers(-3_000, 3_000, size=rng.integers(1, 40)))
+        span = int(rng.integers(1, 2_500))
+        _assert_histogram_equals_brute_force(ta, tb, span, width, int(rng.integers(1, 50)))
+    # Differences on, just below and just past every bin edge.
+    ta = np.array([-1, 0, 1], dtype=np.int64)
+    edges = _assert_histogram_equals_brute_force(ta, ta, 600, width, 3)
+    tb = np.sort(np.concatenate([edges - 1, edges]))
+    _assert_histogram_equals_brute_force(ta, tb, 600, width, 3)
 
 
 def test_find_offset_exact_for_shifted_stream(rng):
@@ -462,3 +500,81 @@ def test_write_coincidences_exact_bytes(monkeypatch, tmp_path, chunk_rows):
     )
     write_coincidences(records.take(np.zeros(5, dtype=bool)), path)
     assert path.read_bytes() == b"time_a_ps,time_b_ps,det_a,det_b,delta_ps\n"
+
+
+_detectors = st.integers(0, 3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(dump_times, dump_times, _detectors, _detectors, dump_times), max_size=30
+    ),
+    pad=st.sampled_from(["", "\t", " \t "]),
+    blank=st.booleans(),
+    newline=st.sampled_from(["\n", "\r\n"]),
+    offset=st.integers(-(10**9), 10**9),
+)
+@example(rows=[], pad="", blank=False, newline="\n", offset=0)
+@example(rows=[], pad="", blank=True, newline="\r\n", offset=0)
+def test_coincidence_csv_roundtrip_property(tmp_path_factory, rows, pad, blank, newline, offset):
+    # Written records, re-spaced with tabs, blank lines and CRLF ends, read
+    # back as the written arrays and dtypes.
+    columns = list(zip(*rows)) if rows else [()] * 5
+    n = len(rows)
+    records = Coincidences(
+        times_a=np.array(columns[0], dtype=np.int64),
+        times_b=np.array(columns[1], dtype=np.int64),
+        det_a=np.array(columns[2], dtype=np.int8),
+        det_b=np.array(columns[3], dtype=np.int8),
+        delta=np.array(columns[4], dtype=np.int64),
+        idx_a=np.full(n, -1, dtype=np.int64),
+        idx_b=np.full(n, -1, dtype=np.int64),
+        offset_ps=offset,
+    )
+    path = tmp_path_factory.mktemp("coincidences") / "coincidences.csv"
+    write_coincidences(records, path)
+    header, *lines = path.read_text().splitlines()
+    lines = [pad + line.replace(",", f"{pad},{pad}") + pad for line in lines]
+    if blank:
+        lines = [""] + [out for line in lines for out in (line, "")]
+    path.write_bytes("".join(line + newline for line in [header, *lines]).encode("ascii"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        loaded = read_coincidences(path, offset)
+    assert loaded.offset_ps == offset
+    for name in ("times_a", "times_b", "det_a", "det_b", "delta", "idx_a", "idx_b"):
+        got, want = getattr(loaded, name), getattr(records, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+
+_HEADER = "time_a_ps,time_b_ps,det_a,det_b,delta_ps\n"
+
+
+@pytest.mark.parametrize(
+    "text, names_row",
+    [
+        pytest.param(_HEADER + "1,2,3,0,1\n4,5,6,1\n", False, id="ragged"),
+        pytest.param(_HEADER + "1,2,3,0\n4,5,6,1\n", False, id="four-fields"),
+        pytest.param(_HEADER + "1,2,3,0,1,9\n", False, id="six-fields"),
+        pytest.param(_HEADER + "1,2,3,0,1.5\n", False, id="float"),
+        pytest.param(_HEADER + "1,2,x,0,1\n", False, id="letter"),
+        pytest.param(_HEADER + "1,2,,0,1\n", False, id="empty-field"),
+        pytest.param(_HEADER + "1,2,3,0,1 # pair\n", False, id="comment"),
+        pytest.param(_HEADER + "1,2,3,0,1\n\n4,5,-1,0,1\n", True, id="det-a-minus-1"),
+        pytest.param(_HEADER + "1,2,3,0,1\n\n4,5,4,0,1\n", True, id="det-a-4"),
+        pytest.param(_HEADER + "1,2,3,0,1\n\n4,5,300,0,1\n", True, id="det-a-300"),
+        pytest.param(_HEADER + "1,2,3,0,1\n\n4,5,0,4,1\n", True, id="det-b-4"),
+        pytest.param("", False, id="empty-file"),
+        pytest.param("1,2,3,0,1\n", False, id="no-header"),
+        pytest.param("time_a_ps,time_b_ps,det_a,det_b\n", False, id="short-header"),
+        pytest.param("# " + _HEADER + "1,2,3,0,1\n", False, id="commented-header"),
+    ],
+)
+def test_read_coincidences_rejects_malformed(tmp_path, text, names_row):
+    path = tmp_path / "coincidences.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(str(path))) as raised:
+        read_coincidences(path)
+    if names_row:
+        assert "data row 2 " in str(raised.value)
