@@ -28,12 +28,7 @@ from .netsim import (
     run_session,
     schedule_session,
 )
-from .pairgen import (
-    Basis,
-    SourceParams,
-    joint_outcome_probability,
-    matched_basis_error_probability,
-)
+from .pairgen import SourceParams, matched_basis_error_probability
 from .receiver import (
     DetectorParams,
     LinkBudget,

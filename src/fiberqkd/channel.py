@@ -55,15 +55,14 @@ class ClassicalTraffic:
 class ChannelConfig:
     """Per-arm fiber description.
 
-    Defaults: 3 dB/km attenuation for the quantum signal vs 0.2 dB/km for
-    the classical one, two fiber splitters per arm at 0.5 dB each for the
-    quantum wavelength, and 2.2 ns/km group delay between the two spatial
-    modes the short-wavelength light can occupy in this fiber.
+    Defaults: 3 dB/km attenuation for the quantum signal, two fiber
+    splitters per arm at 0.5 dB each for the quantum wavelength, and
+    2.2 ns/km group delay between the two spatial modes the
+    short-wavelength light can occupy in this fiber.
     """
 
     length_km: float
     alpha_quantum_db_per_km: float = 3.0
-    alpha_classical_db_per_km: float = 0.2
     splitter_quantum_loss_db: float = 0.5
     splitters_per_arm: int = 2
     second_mode_fraction: float = 0.35
@@ -74,7 +73,6 @@ class ChannelConfig:
         for name in (
             "length_km",
             "alpha_quantum_db_per_km",
-            "alpha_classical_db_per_km",
             "splitter_quantum_loss_db",
             "mode_delay_ns_per_km",
         ):

@@ -13,12 +13,13 @@ import configparser
 import csv
 import dataclasses
 import math
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from . import distill, netsim, receiver, tagproc
+from . import distill, receiver, tagproc
 from .channel import ChannelConfig, ClassicalTraffic, TrafficDirection
 from .distill import KeyRateReport
 from .netsim import Topology, predict_key_rates, run_session, schedule_session
@@ -93,14 +94,56 @@ class ExperimentConfig:
         return [1.0]
 
 
-def _parse_float_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.replace(",", " ").split()]
+# The ExperimentConfig fields that each of these INI sections sets, by key.
+# [channel], [traffic] and [detector] take the fields of their dataclasses.
+_SECTION_KEYS = {
+    "experiment": (
+        "scenario", "lengths_km", "traffics_mbps", "repetitions", "duration_s", "seed",
+        "output_dir", "dump_tags", "dump_coincidences", "traffic_sweep_length_km",
+    ),
+    "source": ("pair_rate", "intrinsic_visibility", "extrapolation_pair_rate"),
+    "analysis": (
+        "coincidence_window_ps", "error_correction_inefficiency", "security_epsilon",
+        "qber_drift_per_s",
+    ),
+}
+# INI keys whose ExperimentConfig field has another name.
+_ALIASES = {"error_correction_inefficiency": "ec_inefficiency", "security_epsilon": "epsilon"}
+
+
+def _field_types(cls, skip=()) -> dict:
+    hints = typing.get_type_hints(cls)
+    return {f.name: hints[f.name] for f in dataclasses.fields(cls) if f.name not in skip}
+
+
+_EXPERIMENT_TYPES = _field_types(ExperimentConfig)
+# INI section -> {key: type}: every key that load_config accepts.
+CONFIG_SCHEMA = {
+    section: {key: _EXPERIMENT_TYPES[_ALIASES.get(key, key)] for key in keys}
+    for section, keys in _SECTION_KEYS.items()
+} | {
+    "channel": _field_types(ChannelConfig, skip=("length_km", "traffic")),
+    "traffic": _field_types(ClassicalTraffic),
+    "detector": _field_types(receiver.DetectorParams),
+}
+
+
+def _parse_value(kind, text: str):
+    """An INI value as ``kind``: a bool, a comma- or space-separated float
+    list for a generic type such as ``list[float] | None``, else ``kind(text)``."""
+    if kind is bool:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+    if typing.get_origin(kind) is not None:
+        return [float(tok) for tok in text.replace(",", " ").split()]
+    return kind(text)
 
 
 def load_config(path=None) -> ExperimentConfig:
     """Build an ExperimentConfig from an INI-style key-value file.
 
     Missing keys keep their defaults; an absent path returns pure defaults.
+    A section or key outside ``CONFIG_SCHEMA``, or a value that does not
+    parse as its field's type, raises ValueError naming ``file:section:key``.
     """
     config = ExperimentConfig()
     if path is None:
@@ -108,89 +151,26 @@ def load_config(path=None) -> ExperimentConfig:
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     with open(path, "r", encoding="utf-8") as fh:
         parser.read_file(fh)
-
-    if parser.has_section("experiment"):
-        sec = parser["experiment"]
-        config.scenario = sec.get("scenario", config.scenario)
-        if "lengths_km" in sec:
-            config.lengths_km = _parse_float_list(sec["lengths_km"])
-        if "traffics_mbps" in sec:
-            config.traffics_mbps = _parse_float_list(sec["traffics_mbps"])
-        config.repetitions = sec.getint("repetitions", config.repetitions)
-        config.duration_s = sec.getfloat("duration_s", config.duration_s)
-        config.seed = sec.getint("seed", config.seed)
-        config.output_dir = sec.get("output_dir", config.output_dir)
-        config.dump_tags = sec.getboolean("dump_tags", config.dump_tags)
-        config.dump_coincidences = sec.getboolean(
-            "dump_coincidences", config.dump_coincidences
-        )
-        config.traffic_sweep_length_km = sec.getfloat(
-            "traffic_sweep_length_km", config.traffic_sweep_length_km
-        )
-    if parser.has_section("source"):
-        sec = parser["source"]
-        config.pair_rate = sec.getfloat("pair_rate", config.pair_rate)
-        config.intrinsic_visibility = sec.getfloat(
-            "intrinsic_visibility", config.intrinsic_visibility
-        )
-        config.extrapolation_pair_rate = sec.getfloat(
-            "extrapolation_pair_rate", config.extrapolation_pair_rate
-        )
-    if parser.has_section("channel"):
-        sec = parser["channel"]
-        for key in (
-            "alpha_quantum_db_per_km",
-            "alpha_classical_db_per_km",
-            "splitter_quantum_loss_db",
-            "second_mode_fraction",
-            "mode_delay_ns_per_km",
-        ):
-            if key in sec:
-                config.channel[key] = sec.getfloat(key)
-        if "splitters_per_arm" in sec:
-            config.channel["splitters_per_arm"] = sec.getint("splitters_per_arm")
-    if parser.has_section("traffic"):
-        sec = parser["traffic"]
-        config.traffic = ClassicalTraffic(
-            direction=TrafficDirection(
-                sec.get("direction", config.traffic.direction.value)
-            ),
-            optical_power_mw=sec.getfloat(
-                "optical_power_mw", config.traffic.optical_power_mw
-            ),
-            data_rate_mbps=sec.getfloat("data_rate_mbps", config.traffic.data_rate_mbps),
-            background_counter_cps=sec.getfloat(
-                "background_counter_cps", config.traffic.background_counter_cps
-            ),
-            background_co_cps_per_mw=sec.getfloat(
-                "background_co_cps_per_mw", config.traffic.background_co_cps_per_mw
-            ),
-        )
-    if parser.has_section("detector"):
-        sec = parser["detector"]
-        config.detector = receiver.DetectorParams(
-            efficiency=sec.getfloat("efficiency", config.detector.efficiency),
-            dark_cps=sec.getfloat("dark_cps", config.detector.dark_cps),
-            jitter_sigma_ps=sec.getfloat(
-                "jitter_sigma_ps", config.detector.jitter_sigma_ps
-            ),
-            dead_time_ns=sec.getfloat("dead_time_ns", config.detector.dead_time_ns),
-            second_mode_rejection_db=sec.getfloat(
-                "second_mode_rejection_db", config.detector.second_mode_rejection_db
-            ),
-        )
-    if parser.has_section("analysis"):
-        sec = parser["analysis"]
-        config.coincidence_window_ps = sec.getint(
-            "coincidence_window_ps", config.coincidence_window_ps
-        )
-        config.ec_inefficiency = sec.getfloat(
-            "error_correction_inefficiency", config.ec_inefficiency
-        )
-        config.epsilon = sec.getfloat("security_epsilon", config.epsilon)
-        config.qber_drift_per_s = sec.getfloat(
-            "qber_drift_per_s", config.qber_drift_per_s
-        )
+    if parser.defaults():
+        raise ValueError(f"{path}:{parser.default_section}: unknown section")
+    values: dict[str, dict] = {}
+    for section in parser.sections():
+        if section not in CONFIG_SCHEMA:
+            raise ValueError(f"{path}:{section}: unknown section")
+        parsed = values[section] = {}
+        for key, text in parser.items(section):
+            if key not in CONFIG_SCHEMA[section]:
+                raise ValueError(f"{path}:{section}:{key}: unknown key")
+            try:
+                parsed[key] = _parse_value(CONFIG_SCHEMA[section][key], text)
+            except (KeyError, ValueError) as exc:
+                raise ValueError(f"{path}:{section}:{key}: cannot parse {text!r}") from exc
+    for section in _SECTION_KEYS:
+        for key, value in values.get(section, {}).items():
+            setattr(config, _ALIASES.get(key, key), value)
+    config.channel = values.get("channel", {})
+    config.traffic = dataclasses.replace(config.traffic, **values.get("traffic", {}))
+    config.detector = dataclasses.replace(config.detector, **values.get("detector", {}))
     return config
 
 
@@ -214,10 +194,6 @@ def _derive_seed(master: int, *key: int) -> int:
     return int(np.random.SeedSequence([master, *key]).generate_state(1, np.uint64)[0])
 
 
-def _mean(values: list[float]) -> float:
-    return float(np.mean(values))
-
-
 def _sem(values: list[float]) -> float:
     if len(values) < 2:
         return 0.0
@@ -226,33 +202,6 @@ def _sem(values: list[float]) -> float:
 
 def _channel_for(config: ExperimentConfig, length_km: float, traffic: ClassicalTraffic) -> ChannelConfig:
     return ChannelConfig(length_km=length_km, traffic=traffic, **config.channel)
-
-
-def _run_point(
-    config: ExperimentConfig,
-    length_km: float,
-    traffic: ClassicalTraffic,
-    seed: int,
-) -> tuple[KeyRateReport, netsim.SessionArtifacts]:
-    arm = _channel_for(config, length_km, traffic)
-    topo = Topology(
-        users=[("alice", arm), ("bob", arm)],
-        source=SourceParams(
-            pair_rate=config.pair_rate,
-            intrinsic_visibility=config.intrinsic_visibility,
-        ),
-        detector=config.detector,
-        qber_drift_per_s=config.qber_drift_per_s,
-        coincidence_window_ps=config.coincidence_window_ps,
-        ec_inefficiency=config.ec_inefficiency,
-        epsilon=config.epsilon,
-    )
-    plan = schedule_session(topo, "alice", "bob", config.duration_s, seed)
-    return run_session(plan)
-
-
-def _dark_traffic() -> ClassicalTraffic:
-    return ClassicalTraffic(direction=TrafficDirection.NONE)
 
 
 def run_experiment(config: ExperimentConfig) -> dict[str, Path]:
@@ -265,22 +214,14 @@ def run_experiment(config: ExperimentConfig) -> dict[str, Path]:
     config.validate()
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    outputs: dict[str, Path] = {}
     summary: list[str] = [
         f"scenario: {config.scenario}",
         f"seed: {config.seed}",
         f"duration_s: {config.duration_s}",
         f"repetitions: {config.repetitions}",
     ]
-
-    if config.scenario == "single_run":
-        outputs.update(_run_single(config, out_dir, summary))
-    elif config.scenario == "length_sweep":
-        outputs.update(_run_length_sweep(config, out_dir, summary))
-    elif config.scenario == "traffic_sweep":
-        outputs.update(_run_traffic_sweep(config, out_dir, summary))
-    else:
-        outputs.update(_run_extrapolation(config, out_dir, summary))
+    run = _run_extrapolation if config.scenario == "extrapolation" else _run_sessions
+    outputs = run(config, out_dir, summary)
 
     summary_path = out_dir / "summary.txt"
     summary_path.write_text("\n".join(summary) + "\n", encoding="utf-8")
@@ -288,118 +229,125 @@ def run_experiment(config: ExperimentConfig) -> dict[str, Path]:
     return outputs
 
 
-def _run_single(config, out_dir: Path, summary: list[str]) -> dict[str, Path]:
-    length = config.resolved_lengths_km()[0]
-    report, artifacts = _run_point(
-        config, length, config.traffic, _derive_seed(config.seed, 0)
-    )
-    outputs = {
-        "reports": emit_csv([report.csv_row()], out_dir / "reports.csv"),
-    }
-    if config.dump_tags:
-        receiver.write_tags(artifacts.tags_a, out_dir / "tags_alice.txt")
-        receiver.write_tags(artifacts.tags_b, out_dir / "tags_bob.txt")
-        outputs["tags_alice"] = out_dir / "tags_alice.txt"
-        outputs["tags_bob"] = out_dir / "tags_bob.txt"
-    if config.dump_coincidences:
-        tagproc.write_coincidences(
-            artifacts.filtered_records, out_dir / "coincidences.csv"
-        )
-        outputs["coincidences"] = out_dir / "coincidences.csv"
-    summary.append(
-        f"single_run length_km={length} qber={report.qber:.6f} "
-        f"sifted_rate={report.sifted_rate:.3f} "
-        f"asymptotic_rate={report.asymptotic_rate:.3f} "
-        f"finite_length={report.finite_length} "
-        f"retained_fraction={report.retained_fraction:.4f} "
-        f"offset_ps={report.offset_ps}"
-    )
-    return outputs
-
-
-def _run_length_sweep(config, out_dir: Path, summary: list[str]) -> dict[str, Path]:
+def _grid(config: ExperimentConfig) -> list[tuple[tuple[int, ...], dict, ChannelConfig]]:
+    """Every point of a session scenario as (seed key, row labels, arm). Building
+    each point's arm checks its settings, so a bad point fails before any session."""
     lengths = config.resolved_lengths_km()
-    variants = (("dark", _dark_traffic()), ("active", config.traffic))
-    report_rows, qber_rows, skr_rows = [], [], []
-    for li, length in enumerate(lengths):
-        for vi, (variant, traffic) in enumerate(variants):
-            reports = []
-            for rep in range(config.repetitions):
-                seed = _derive_seed(config.seed, li, vi, rep)
-                report, _ = _run_point(config, length, traffic, seed)
-                reports.append(report)
-                report_rows.append(report.csv_row())
-            qbers = [r.qber for r in reports]
-            qber_rows.append(
-                {
-                    "length_km": length,
-                    "variant": variant,
-                    "repetitions": config.repetitions,
-                    "qber_mean": _mean(qbers),
-                    "qber_sem": _sem(qbers),
-                }
+    if config.scenario == "length_sweep":
+        dark = ClassicalTraffic(direction=TrafficDirection.NONE)
+        variants = (("dark", dark), ("active", config.traffic))
+        return [
+            ((li, vi), {"length_km": km, "variant": variant}, _channel_for(config, km, traffic))
+            for li, km in enumerate(lengths)
+            for vi, (variant, traffic) in enumerate(variants)
+        ]
+    if config.scenario == "traffic_sweep":
+        active = dataclasses.replace(
+            config.traffic, direction=TrafficDirection.COUNTER_PROPAGATING
+        )
+        return [
+            (
+                (ti,),
+                {"traffic_mbps": mbps, "length_km": lengths[0]},
+                _channel_for(config, lengths[0], dataclasses.replace(active, data_rate_mbps=mbps)),
             )
-            rates = [r.asymptotic_rate for r in reports]
-            skr_rows.append(
-                {
-                    "length_km": length,
-                    "variant": variant,
-                    "repetitions": config.repetitions,
-                    "sifted_rate_mean": _mean([r.sifted_rate for r in reports]),
-                    "asymptotic_rate_mean": _mean(rates),
-                    "asymptotic_rate_sem": _sem(rates),
-                    "finite_length_mean": _mean([r.finite_length for r in reports]),
-                }
-            )
-            summary.append(
-                f"length_km={length} variant={variant} "
-                f"qber_mean={qber_rows[-1]['qber_mean']:.6f} "
-                f"asymptotic_rate_mean={skr_rows[-1]['asymptotic_rate_mean']:.3f}"
-            )
-    return {
-        "qber_vs_length": emit_csv(qber_rows, out_dir / "qber_vs_length.csv"),
-        "skr_vs_length": emit_csv(skr_rows, out_dir / "skr_vs_length.csv"),
-        "reports": emit_csv(
-            report_rows, out_dir / "reports.csv", list(KeyRateReport.CSV_FIELDS)
+            for ti, mbps in enumerate(config.traffics_mbps)
+        ]
+    return [((), {"length_km": lengths[0]}, _channel_for(config, lengths[0], config.traffic))]
+
+
+# One summary line per point, formatted from the point's aggregate row and
+# its last report.
+_SUMMARY_LINES = {
+    "single_run": (
+        "single_run length_km={length_km} qber={report.qber:.6f} "
+        "sifted_rate={report.sifted_rate:.3f} asymptotic_rate={report.asymptotic_rate:.3f} "
+        "finite_length={report.finite_length} retained_fraction={report.retained_fraction:.4f} "
+        "offset_ps={report.offset_ps}"
+    ),
+    "length_sweep": (
+        "length_km={length_km} variant={variant} qber_mean={qber_mean:.6f} "
+        "asymptotic_rate_mean={asymptotic_rate_mean:.3f}"
+    ),
+    "traffic_sweep": "traffic_mbps={traffic_mbps} qber_mean={qber_mean:.6f}",
+}
+# Aggregate CSVs of each session scenario: file stem -> columns.
+_TABLES = {
+    "single_run": {},
+    "length_sweep": {
+        "qber_vs_length": ("length_km", "variant", "repetitions", "qber_mean", "qber_sem"),
+        "skr_vs_length": (
+            "length_km", "variant", "repetitions", "sifted_rate_mean",
+            "asymptotic_rate_mean", "asymptotic_rate_sem", "finite_length_mean",
         ),
+    },
+    "traffic_sweep": {
+        "qber_vs_traffic": (
+            "traffic_mbps", "length_km", "repetitions", "qber_mean", "qber_sem",
+            "sifted_bits_mean",
+        ),
+    },
+}
+
+
+def _aggregate(reports: list[KeyRateReport]) -> dict[str, float]:
+    """Mean of each report figure over a point's repetitions, and the
+    standard error of the QBER and of the asymptotic rate."""
+    values = {
+        name: [getattr(report, name) for report in reports]
+        for name in ("qber", "sifted_rate", "sifted_bits", "asymptotic_rate", "finite_length")
     }
+    row = {f"{name}_mean": float(np.mean(v)) for name, v in values.items()}
+    row.update({f"{name}_sem": _sem(values[name]) for name in ("qber", "asymptotic_rate")})
+    return row
 
 
-def _run_traffic_sweep(config, out_dir: Path, summary: list[str]) -> dict[str, Path]:
-    length = config.resolved_lengths_km()[0]
-    report_rows, traffic_rows = [], []
-    for ti, mbps in enumerate(config.traffics_mbps):
-        traffic = dataclasses.replace(
-            config.traffic,
-            direction=TrafficDirection.COUNTER_PROPAGATING,
-            data_rate_mbps=mbps,
+def _run_sessions(config, out_dir: Path, summary: list[str]) -> dict[str, Path]:
+    """Run each grid point ``repetitions`` times (once for single_run); repetition
+    ``rep`` runs at the seed derived from the master seed, the point's key and ``rep``."""
+    points = _grid(config)
+    source = SourceParams(config.pair_rate, config.intrinsic_visibility)
+    repetitions = 1 if config.scenario == "single_run" else config.repetitions
+    report_rows, rows = [], []
+    for key, labels, arm in points:
+        topo = Topology(
+            users=[("alice", arm), ("bob", arm)],
+            source=source,
+            detector=config.detector,
+            qber_drift_per_s=config.qber_drift_per_s,
+            coincidence_window_ps=config.coincidence_window_ps,
+            ec_inefficiency=config.ec_inefficiency,
+            epsilon=config.epsilon,
         )
         reports = []
-        for rep in range(config.repetitions):
-            seed = _derive_seed(config.seed, ti, rep)
-            report, _ = _run_point(config, length, traffic, seed)
+        for rep in range(repetitions):
+            seed = _derive_seed(config.seed, *key, rep)
+            report, artifacts = run_session(
+                schedule_session(topo, "alice", "bob", config.duration_s, seed)
+            )
             reports.append(report)
             report_rows.append(report.csv_row())
-        qbers = [r.qber for r in reports]
-        traffic_rows.append(
-            {
-                "traffic_mbps": mbps,
-                "length_km": length,
-                "repetitions": config.repetitions,
-                "qber_mean": _mean(qbers),
-                "qber_sem": _sem(qbers),
-                "sifted_bits_mean": _mean([r.sifted_bits for r in reports]),
-            }
+        rows.append({**labels, "repetitions": repetitions, **_aggregate(reports)})
+        summary.append(_SUMMARY_LINES[config.scenario].format(**rows[-1], report=report))
+    outputs = {
+        stem: emit_csv(
+            [{name: row[name] for name in columns} for row in rows],
+            out_dir / f"{stem}.csv",
+            list(columns),
         )
-        summary.append(
-            f"traffic_mbps={mbps} qber_mean={traffic_rows[-1]['qber_mean']:.6f}"
-        )
-    return {
-        "qber_vs_traffic": emit_csv(traffic_rows, out_dir / "qber_vs_traffic.csv"),
-        "reports": emit_csv(
-            report_rows, out_dir / "reports.csv", list(KeyRateReport.CSV_FIELDS)
-        ),
+        for stem, columns in _TABLES[config.scenario].items()
     }
+    outputs["reports"] = emit_csv(
+        report_rows, out_dir / "reports.csv", list(KeyRateReport.CSV_FIELDS)
+    )
+    if config.scenario == "single_run" and config.dump_tags:
+        for name, tags in (("tags_alice", artifacts.tags_a), ("tags_bob", artifacts.tags_b)):
+            outputs[name] = out_dir / f"{name}.txt"
+            receiver.write_tags(tags, outputs[name])
+    if config.scenario == "single_run" and config.dump_coincidences:
+        outputs["coincidences"] = out_dir / "coincidences.csv"
+        tagproc.write_coincidences(artifacts.filtered_records, outputs["coincidences"])
+    return outputs
 
 
 def _run_extrapolation(config, out_dir: Path, summary: list[str]) -> dict[str, Path]:

@@ -51,8 +51,6 @@ class Topology:
         detector: DetectorParams | None = None,
         qber_drift_per_s: float = 0.0,
         coincidence_window_ps: int = tagproc.DEFAULT_COINCIDENCE_WINDOW_PS,
-        offset_search_span_ps: int = tagproc.DEFAULT_SEARCH_SPAN_PS,
-        offset_bin_width_ps: int = tagproc.DEFAULT_BIN_WIDTH_PS,
         ec_inefficiency: float = distill.DEFAULT_EC_INEFFICIENCY,
         epsilon: float = distill.DEFAULT_EPSILON,
     ):
@@ -66,8 +64,6 @@ class Topology:
         self.detector = detector if detector is not None else DetectorParams()
         self.qber_drift_per_s = qber_drift_per_s
         self.coincidence_window_ps = int(coincidence_window_ps)
-        self.offset_search_span_ps = int(offset_search_span_ps)
-        self.offset_bin_width_ps = int(offset_bin_width_ps)
         self.ec_inefficiency = ec_inefficiency
         self.epsilon = epsilon
         self._lock = threading.Lock()
@@ -219,12 +215,7 @@ def run_session(plan: SessionPlan) -> tuple[KeyRateReport, SessionArtifacts]:
         tags_a = receiver.apply_dead_time(tags_a, topo.detector.dead_time_ns)
         tags_b = receiver.apply_dead_time(tags_b, topo.detector.dead_time_ns)
 
-        offset = tagproc.find_offset(
-            tags_a,
-            tags_b,
-            search_span_ps=topo.offset_search_span_ps,
-            bin_width_ps=topo.offset_bin_width_ps,
-        )
+        offset = tagproc.find_offset(tags_a, tags_b)
 
         delay_a = plan.config_a.mode_delay_ps
         delay_b = plan.config_b.mode_delay_ps

@@ -5,18 +5,58 @@ its detector, and keeps arrays sized by the number of emitted pairs. The
 session pipeline samples only the pairs that click
 (``fiberqkd.receiver.sample_pair_tags``); the tests check that sampler
 against this code on distributions at small scale.
+``joint_outcome_probability`` states the polarization-correlation model
+that both pipelines sample.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from enum import IntEnum
 
 import numpy as np
 
 from fiberqkd.channel import PS_PER_KM, ChannelConfig, transmittance
 from fiberqkd.pairgen import PS_PER_SECOND, SourceParams, matched_basis_error_probability
 from fiberqkd.receiver import DetectorParams, TagOrigin, TagStream
+
+
+class Basis(IntEnum):
+    """Polarization measurement basis: rectilinear (H/V) or diagonal (+/-)."""
+
+    RECTILINEAR = 0
+    DIAGONAL = 1
+
+
+def joint_outcome_probability(
+    basis_a: Basis | int,
+    basis_b: Basis | int,
+    bit_a: int,
+    bit_b: int,
+    visibility: float,
+) -> float:
+    """Probability of one joint measurement outcome on an entangled pair.
+
+    With matching bases the outcomes are correlated with contrast
+    ``visibility``; with differing bases all four outcomes are equally
+    likely. The convention is correlated (not anticorrelated) outcomes in
+    both bases; any consistent choice gives the same error rate.
+
+    Returns:
+        (1/4) * (1 + (-1)^(bit_a XOR bit_b) * visibility) for matching
+        bases, 1/4 otherwise.
+    """
+    if not (0.0 <= visibility <= 1.0):
+        raise ValueError(f"visibility must be in [0, 1], got {visibility}")
+    if bit_a not in (0, 1) or bit_b not in (0, 1):
+        raise ValueError(f"bits must be 0 or 1, got {bit_a}, {bit_b}")
+    basis_a = Basis(basis_a)
+    basis_b = Basis(basis_b)
+    if basis_a != basis_b:
+        return 0.25
+    sign = 1.0 if bit_a == bit_b else -1.0
+    return 0.25 * (1.0 + sign * visibility)
 
 
 @dataclass(eq=False)
@@ -34,18 +74,18 @@ class PairStream:
         return int(self.times_ps.size)
 
 
-def generate_pair_stream(params: SourceParams) -> PairStream:
-    """Draw a homogeneous Poisson emission stream over [0, duration).
+def generate_pair_stream(params: SourceParams, duration_s: float, seed) -> PairStream:
+    """Draw a homogeneous Poisson emission stream over [0, duration_s).
 
     The construction is the conditional-uniform one: the total count is
     Poisson(rate * duration) and event times are uniform over the window,
     discretized to picosecond ticks. Ticks that collide (vanishingly rare at
     the rates of interest) are dropped to keep the stream strictly
-    increasing. Identical params yield a bit-identical stream.
+    increasing. Identical arguments yield a bit-identical stream.
     """
-    rng = np.random.default_rng(params.seed)
-    duration_ps = int(round(params.duration_s * PS_PER_SECOND))
-    n = rng.poisson(params.pair_rate * params.duration_s)
+    rng = np.random.default_rng(seed)
+    duration_ps = int(round(duration_s * PS_PER_SECOND))
+    n = rng.poisson(params.pair_rate * duration_s)
     times = rng.integers(0, duration_ps, size=n, dtype=np.int64)
     times.sort()
     if times.size > 1:

@@ -16,9 +16,7 @@ from perphoton import assign_pair_modes, generate_pair_stream, propagate_arm
 
 
 def _pairs(n=100_000, rate=1e6, seed=11):
-    return generate_pair_stream(
-        SourceParams(pair_rate=rate, duration_s=n / rate, seed=seed)
-    )
+    return generate_pair_stream(SourceParams(pair_rate=rate), n / rate, seed)
 
 
 def test_transmittance_zero_length_is_one():

@@ -1,7 +1,11 @@
+import configparser
 import csv
+import re
+from pathlib import Path
 
 import pytest
 
+from fiberqkd import cli
 from fiberqkd.channel import TrafficDirection
 from fiberqkd.cli import (
     ExperimentConfig,
@@ -11,6 +15,8 @@ from fiberqkd.cli import (
     run_experiment,
 )
 from fiberqkd.distill import KeyRateReport
+
+EXAMPLE_INI = Path(__file__).resolve().parents[1] / "example_experiment.ini"
 
 
 def _fast_config(**overrides) -> ExperimentConfig:
@@ -99,6 +105,7 @@ repetitions = 2
 duration_s = 0.25
 seed = 99
 output_dir = results
+dump_tags = yes
 
 [source]
 pair_rate = 2.5e5
@@ -118,6 +125,7 @@ second_mode_rejection_db = 0
 [analysis]
 coincidence_window_ps = 1500
 error_correction_inefficiency = 1.2
+security_epsilon = 1e-9
 """
     )
     config = load_config(ini)
@@ -133,6 +141,8 @@ error_correction_inefficiency = 1.2
     assert config.detector.second_mode_rejection_db == 0.0
     assert config.coincidence_window_ps == 1500
     assert config.ec_inefficiency == 1.2
+    assert config.epsilon == 1e-9
+    assert config.dump_tags is True
 
 
 def test_scenario_default_lengths():
@@ -279,9 +289,46 @@ def test_unwritable_output_dir(tmp_path):
 
 
 def test_example_config_in_repo_loads():
-    from pathlib import Path
-
-    example = Path(__file__).resolve().parents[1] / "example_experiment.ini"
-    config = load_config(example)
+    config = load_config(EXAMPLE_INI)
     config.validate()
     assert config.scenario in ("single_run", "length_sweep", "traffic_sweep", "extrapolation")
+
+
+def test_example_config_documents_exactly_the_schema():
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser.read(EXAMPLE_INI, encoding="utf-8")
+    documented = {(section, key) for section in parser.sections() for key in parser[section]}
+    schema = {(section, key) for section, keys in cli.CONFIG_SCHEMA.items() for key in keys}
+    assert documented == schema
+    assert len(schema) == 32
+
+
+BAD_INI = [
+    ("[source]\npair_rte = 1e6\n", "source:pair_rte"),
+    ("[detectr]\nefficiency = 0.4\n", "detectr"),
+    ("[channel]\nalpha_classical_db_per_km = 0.2\n", "channel:alpha_classical_db_per_km"),
+    ("[traffic]\ndirection = sideways\n", "traffic:direction"),
+    ("[experiment]\nrepetitions = two\n", "experiment:repetitions"),
+    ("[experiment]\ndump_tags = maybe\n", "experiment:dump_tags"),
+    ("[DEFAULT]\nseed = 3\n", "DEFAULT"),
+]
+
+
+@pytest.mark.parametrize("text, location", BAD_INI, ids=[loc for _, loc in BAD_INI])
+def test_load_config_rejects_unknown_or_unparseable(tmp_path, text, location):
+    ini = tmp_path / "bad.ini"
+    ini.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(f"{ini}:{location}:")):
+        load_config(ini)
+
+
+def test_sweep_grid_checked_before_any_session(tmp_path, monkeypatch):
+    ini = tmp_path / "exp.ini"
+    ini.write_text("[experiment]\nscenario = length_sweep\nlengths_km = 1, -2\n")
+    config = load_config(ini)
+    config.output_dir = str(tmp_path / "out")
+    sessions = []
+    monkeypatch.setattr(cli, "run_session", sessions.append)
+    with pytest.raises(ValueError, match="length_km"):
+        run_experiment(config)
+    assert sessions == []

@@ -25,7 +25,7 @@ from perphoton import ArmTransits, detect_pairs, generate_pair_stream, propagate
 
 
 def _lossless_transits(n=50_000, seed=1, all_second_order=False):
-    pairs = generate_pair_stream(SourceParams(pair_rate=1e6, duration_s=n / 1e6, seed=seed))
+    pairs = generate_pair_stream(SourceParams(pair_rate=1e6), n / 1e6, seed)
     config = ChannelConfig(
         length_km=0.0, splitter_quantum_loss_db=0.0, second_mode_fraction=0.0
     )
@@ -128,7 +128,7 @@ def test_basis_balance():
 def test_drift_raises_error_rate_over_time():
     # 0.01/s of drift over a 10 s window on a perfect-visibility link gives
     # a mean matched-basis error of about 0.05, growing front to back.
-    pairs = generate_pair_stream(SourceParams(pair_rate=5e4, duration_s=10.0, seed=7))
+    pairs = generate_pair_stream(SourceParams(pair_rate=5e4), 10.0, 7)
     config = ChannelConfig(length_km=0.0, splitter_quantum_loss_db=0.0)
     transits = propagate_arm(pairs, config, seed=7, second_order=np.zeros(len(pairs), bool))
     det = DetectorParams(efficiency=1.0, jitter_sigma_ps=0.0)

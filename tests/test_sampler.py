@@ -35,14 +35,7 @@ DURATION_S = 1.0
 def _reference_tags(source, config_a, config_b, detector, duration_s, seed):
     """Both parties' pair clicks from the per-photon reference pipeline."""
     seeds = np.random.SeedSequence(seed).spawn(5)
-    pairs = generate_pair_stream(
-        SourceParams(
-            pair_rate=source.pair_rate,
-            intrinsic_visibility=source.intrinsic_visibility,
-            duration_s=duration_s,
-            seed=int(seeds[0].generate_state(1)[0]),
-        )
-    )
+    pairs = generate_pair_stream(source, duration_s, int(seeds[0].generate_state(1)[0]))
     fraction = max(config_a.second_mode_fraction, config_b.second_mode_fraction)
     mode_a, mode_b = assign_pair_modes(len(pairs), fraction, seeds[1])
     transits_a = propagate_arm(pairs, config_a, seeds[2], second_order=mode_a)
@@ -207,9 +200,10 @@ def test_sampler_drift_raises_error_rate_over_time():
     assert abs(errors.mean() - 0.05) < 4 * sigma + 0.005
 
 
-def test_sampler_rejects_bad_duration():
+@pytest.mark.parametrize("duration_s", [0.0, -2.0, float("inf")])
+def test_sampler_rejects_bad_duration(duration_s):
     with pytest.raises(ValueError):
-        sample_pair_tags(SOURCE, ARM_A, ARM_B, DETECTOR, 0.0, seed=1)
+        sample_pair_tags(SOURCE, ARM_A, ARM_B, DETECTOR, duration_s, seed=1)
 
 
 @settings(max_examples=60, deadline=None)
