@@ -48,6 +48,9 @@ def test_times_strictly_increasing_within_window():
         dict(pair_rate=-1.0),
         dict(pair_rate=float("nan")),
         dict(pair_rate=float("inf")),
+        dict(pair_rate=float("-inf")),
+        dict(pair_rate=1.0, intrinsic_visibility=float("nan")),
+        dict(pair_rate=1.0, intrinsic_visibility=float("inf")),
         dict(pair_rate=1.0, intrinsic_visibility=1.5),
         dict(pair_rate=1.0, intrinsic_visibility=-0.1),
     ],
