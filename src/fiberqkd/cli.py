@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import csv
 import dataclasses
 import math
@@ -143,7 +144,9 @@ def load_config(path=None) -> ExperimentConfig:
 
     Missing keys keep their defaults; an absent path returns pure defaults.
     A section or key outside ``CONFIG_SCHEMA``, or a value that does not
-    parse as its field's type, raises ValueError naming ``file:section:key``.
+    parse as its field's type, raises ValueError naming ``file:section:key``;
+    a value that parses but is out of range raises one naming
+    ``file:section:`` and the field.
     """
     config = ExperimentConfig()
     if path is None:
@@ -169,9 +172,27 @@ def load_config(path=None) -> ExperimentConfig:
         for key, value in values.get(section, {}).items():
             setattr(config, _ALIASES.get(key, key), value)
     config.channel = values.get("channel", {})
-    config.traffic = dataclasses.replace(config.traffic, **values.get("traffic", {}))
-    config.detector = dataclasses.replace(config.detector, **values.get("detector", {}))
+    # Build each section's dataclass here, so that a value out of range
+    # fails now and names its place in the file.
+    with _located(path, "traffic"):
+        config.traffic = dataclasses.replace(config.traffic, **values.get("traffic", {}))
+    with _located(path, "detector"):
+        config.detector = dataclasses.replace(config.detector, **values.get("detector", {}))
+    with _located(path, "channel"):
+        _channel_for(config, 0.0, config.traffic)
+    with _located(path, "source"):
+        SourceParams(config.pair_rate, config.intrinsic_visibility)
+        SourceParams(config.extrapolation_pair_rate, config.intrinsic_visibility)
     return config
+
+
+@contextlib.contextmanager
+def _located(path, section: str):
+    """Prefix a ValueError raised in the block with ``file:section:``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{path}:{section}: {exc}") from exc
 
 
 def emit_csv(rows: list[dict], path, fieldnames: list[str] | None = None) -> Path:
@@ -325,6 +346,8 @@ def _run_sessions(config, out_dir: Path, summary: list[str]) -> dict[str, Path]:
             report, artifacts = run_session(
                 schedule_session(topo, "alice", "bob", config.duration_s, seed)
             )
+            if config.scenario != "single_run":
+                artifacts = None  # free this session's tags before the next one runs
             reports.append(report)
             report_rows.append(report.csv_row())
         rows.append({**labels, "repetitions": repetitions, **_aggregate(reports)})

@@ -4,6 +4,7 @@ arrival-time mode filtering, and visibility/QBER estimation.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -21,6 +22,15 @@ PEAK_SIGNIFICANCE = 5.0
 # them keeps the pairing histogram cheap on multi-megatag streams.
 DEFAULT_MAX_SOURCE_TAGS = 1_000_000
 _PAIRING_CHUNK = 1 << 22
+# The coarse offset search starts from this many A tags and doubles them.
+_COARSE_SOURCE_TAGS = 1 << 15
+# Largest chance, bounded over all searched bins, that accidentals alone
+# make a histogram peak as full as the accepted one.
+_FALSE_PEAK_BOUND = 1e-6
+# The fine stage takes the pairings within a half coincidence window plus
+# this margin of the coarse peak, from up to this many A tags.
+_FINE_MARGIN_PS = 2000
+_FINE_SOURCE_TAGS = 1 << 18
 
 
 class NoCorrelationPeakError(RuntimeError):
@@ -98,37 +108,44 @@ def correlation_histogram(
 
     Uses the earliest ``max_source_tags`` A tags against the full B stream.
     """
+    origin, n_bins = _bin_grid(tags_a, tags_b, search_span_ps, bin_width_ps)
+    w = int(bin_width_ps)
+    counts = np.zeros(n_bins, dtype=np.int64)
+    _add_pairings(counts, tags_a.times_ps[: int(max_source_tags)], tags_b.times_ps, origin, w)
+    return CorrelationHistogram(bin_width_ps=w, origin_ps=origin, counts=counts)
+
+
+def _bin_grid(tags_a, tags_b, search_span_ps, bin_width_ps) -> tuple[int, int]:
+    """(origin, bin count) of the histogram grid: bins out to at least the
+    span either side, centered on the multiples of the bin width."""
     if len(tags_a) == 0 or len(tags_b) == 0:
         raise ValueError("cannot correlate empty tag streams")
     if bin_width_ps <= 0 or search_span_ps <= 0:
         raise ValueError("search_span_ps and bin_width_ps must be > 0")
     w = int(bin_width_ps)
-    n_half = -(-int(search_span_ps) // w)  # ceil: bins out to at least the span
-    n_bins = 2 * n_half + 1
-    origin = -n_half * w - w // 2
-    lo_edge = origin
-    hi_edge = origin + n_bins * w
+    n_half = -(-int(search_span_ps) // w)
+    return -n_half * w - w // 2, 2 * n_half + 1
 
-    ta = tags_a.times_ps[: int(max_source_tags)]
-    tb = tags_b.times_ps
-    counts = np.zeros(n_bins, dtype=np.int64)
-    start = 0
-    while start < ta.size:
-        chunk = ta[start : start + _PAIRING_CHUNK // 8]
-        left = np.searchsorted(tb, chunk + lo_edge, side="left")
-        right = np.searchsorted(tb, chunk + hi_edge, side="left")
-        per_a = right - left
-        total = int(per_a.sum())
-        if total:
-            # Flat indices of every (a, b) pairing in range.
-            starts = np.concatenate(([0], np.cumsum(per_a)[:-1]))
-            flat = np.arange(total, dtype=np.int64)
-            flat += np.repeat(left - starts, per_a)
-            diffs = tb[flat] - np.repeat(chunk, per_a)
-            bins = (diffs - origin) // w
-            np.add.at(counts, bins, 1)
-        start += chunk.size
-    return CorrelationHistogram(bin_width_ps=w, origin_ps=origin, counts=counts)
+
+def _add_pairings(counts, ta, tb, origin, w) -> None:
+    """Add to ``counts`` the pairings of A times ``ta`` with B times ``tb``,
+    binned by width ``w`` from ``origin``, a chunk of A tags at a time."""
+    hi_edge = origin + counts.size * w
+    step = _PAIRING_CHUNK // 8
+    for start in range(0, ta.size, step):
+        diffs = _pairing_differences(ta[start : start + step], tb, origin, hi_edge)
+        counts += np.bincount((diffs - origin) // w, minlength=counts.size)
+
+
+def _pairing_differences(ta, tb, lo_edge, hi_edge) -> np.ndarray:
+    """B-minus-A difference d of every pairing with lo_edge <= d < hi_edge."""
+    left = np.searchsorted(tb, ta + lo_edge, side="left")
+    right = np.searchsorted(tb, ta + hi_edge, side="left")
+    per_a = right - left
+    # Flat index into tb of every pairing, A tag by A tag.
+    flat = np.arange(int(per_a.sum()), dtype=np.int64)
+    flat += np.repeat(left - (np.cumsum(per_a) - per_a), per_a)
+    return tb[flat] - np.repeat(ta, per_a)
 
 
 def find_offset(
@@ -138,28 +155,87 @@ def find_offset(
     bin_width_ps: int = DEFAULT_BIN_WIDTH_PS,
     max_source_tags: int = DEFAULT_MAX_SOURCE_TAGS,
 ) -> int:
-    """Recover the B-minus-A clock offset from the pairing histogram peak.
+    """Recover the B-minus-A clock offset, coarse to fine.
 
-    Returns the center of the bin with the most pairings, ties broken
-    toward the smallest absolute offset. Raises NoCorrelationPeakError when
-    no bin clears the accidental floor by 5 sigma.
+    Coarse: the pairing histogram of ``correlation_histogram`` from the
+    earliest 2**15 A tags, doubled up to ``max_source_tags`` until its
+    fullest bin clears the median floor by 5 sigma and a look-elsewhere
+    bound over all bins; ties go to the smallest absolute offset, then
+    the smallest offset. Fine: a flat-kernel mean shift over the pairings
+    near that bin moves to where a coincidence window holds the most
+    pairings. Returns the center of the half-open bin that holds this
+    point. Raises NoCorrelationPeakError when no bin passes at
+    ``max_source_tags``.
     """
-    hist = correlation_histogram(
-        tags_a, tags_b, search_span_ps, bin_width_ps, max_source_tags
-    )
-    counts = hist.counts
-    floor = float(np.median(counts))
-    sigma = max(floor, 1.0) ** 0.5
+    origin, n_bins = _bin_grid(tags_a, tags_b, search_span_ps, bin_width_ps)
+    w = int(bin_width_ps)
+    hist = CorrelationHistogram(w, origin, np.zeros(n_bins, dtype=np.int64))
+    ta, tb = tags_a.times_ps, tags_b.times_ps
+    cap = min(int(max_source_tags), ta.size)
+    used = 0
+    while True:
+        n = min(max(2 * used, _COARSE_SOURCE_TAGS), cap)
+        _add_pairings(hist.counts, ta[used:n], tb, origin, w)
+        used = n
+        shortfall = _peak_shortfall(hist.counts)
+        if shortfall is None:
+            break
+        if used == cap:
+            raise NoCorrelationPeakError(f"no correlation peak: {shortfall}")
+    centers = hist.centers_ps[hist.counts == hist.counts.max()]
+    coarse = int(centers[np.lexsort((centers, np.abs(centers)))[0]])
+    return _mean_shift_offset(ta[: max(used, min(_FINE_SOURCE_TAGS, cap))], tb, coarse, w)
+
+
+def _peak_shortfall(counts: np.ndarray) -> str | None:
+    """Why the fullest bin of ``counts`` is no correlation peak, or None.
+
+    The peak must pass a look-elsewhere test: the Chernoff bound on any of
+    the bins of a flat Poisson floor reaching it by chance,
+    n_bins * exp(-mu) * (e*mu/peak)**peak with mu the mean count per bin,
+    may be at most _FALSE_PEAK_BOUND. It must also clear the median floor
+    by PEAK_SIGNIFICANCE sigma. The bound goes first because it is the
+    cheaper test, and the one that fails while the search doubles.
+    """
     peak = int(counts.max())
-    if peak < floor + PEAK_SIGNIFICANCE * sigma:
-        raise NoCorrelationPeakError(
-            f"no correlation peak: max bin {peak} vs floor {floor:.1f} "
-            f"(needs {PEAK_SIGNIFICANCE} sigma)"
+    if peak == 0:
+        return "no pairing within the search span"
+    mu = float(counts.mean())
+    log_chance = math.log(counts.size) - mu + peak * (1.0 + math.log(mu / peak))
+    if log_chance > math.log(_FALSE_PEAK_BOUND):
+        return (
+            f"max bin {peak} vs mean {mu:.2f} per bin: chance bound "
+            f"{math.exp(log_chance):.2g} over {counts.size} bins "
+            f"(needs {_FALSE_PEAK_BOUND:g})"
         )
-    candidates = np.flatnonzero(counts == peak)
-    centers = hist.centers_ps[candidates]
-    best = centers[np.lexsort((centers, np.abs(centers)))[0]]
-    return int(best)
+    floor = float(np.median(counts))
+    if peak < floor + PEAK_SIGNIFICANCE * max(floor, 1.0) ** 0.5:
+        return f"max bin {peak} vs floor {floor:.1f} (needs {PEAK_SIGNIFICANCE} sigma)"
+    return None
+
+
+def _mean_shift_offset(ta, tb, coarse_ps: int, w: int) -> int:
+    """Mean-shift the coarse offset to a fixed point c, the mean of the
+    pairing differences within a half coincidence window of c, where that
+    window's count is stationary, and return the center of the half-open
+    bin [k*w - w//2, k*w - w//2 + w) that holds c.
+    """
+    half = DEFAULT_COINCIDENCE_WINDOW_PS // 2
+    reach = half + _FINE_MARGIN_PS
+    diffs = np.sort(_pairing_differences(ta, tb, coarse_ps - reach, coarse_ps + reach + 1))
+    sums = np.concatenate(([0], np.cumsum(diffs)))
+    # c = total / n, kept as two integers so that every step is exact.
+    total, n = coarse_ps, 1
+    seen = set()
+    while True:
+        lo = int(np.searchsorted(diffs, -((half * n - total) // n), side="left"))
+        hi = int(np.searchsorted(diffs, (total + half * n) // n, side="right"))
+        # A window met before is the fixed point (or a cycle) reached.
+        if lo == hi or (lo, hi) in seen:
+            break
+        seen.add((lo, hi))
+        total, n = int(sums[hi] - sums[lo]), hi - lo
+    return (total + (w // 2) * n) // (w * n) * w
 
 
 def match_coincidences(

@@ -1,6 +1,7 @@
 import configparser
 import csv
 import re
+import weakref
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ from fiberqkd.cli import (
     run_experiment,
 )
 from fiberqkd.distill import KeyRateReport
+from fiberqkd.netsim import release_session
 
 EXAMPLE_INI = Path(__file__).resolve().parents[1] / "example_experiment.ini"
 
@@ -332,3 +334,61 @@ def test_sweep_grid_checked_before_any_session(tmp_path, monkeypatch):
     with pytest.raises(ValueError, match="length_km"):
         run_experiment(config)
     assert sessions == []
+
+
+OUT_OF_RANGE_INI = [
+    ("[detector]\nefficiency = 1.5\n", "detector:", "efficiency"),
+    ("[channel]\nsecond_mode_fraction = 1.5\n", "channel:", "second_mode_fraction"),
+    ("[source]\npair_rate = -1\n", "source:", "pair_rate"),
+]
+
+
+@pytest.mark.parametrize(
+    "text, location, name", OUT_OF_RANGE_INI, ids=[name for _, _, name in OUT_OF_RANGE_INI]
+)
+def test_load_config_rejects_out_of_range(tmp_path, text, location, name):
+    # A value that parses but is out of range fails in load_config, not in
+    # the first session, and names its file and section.
+    ini = tmp_path / "bad.ini"
+    ini.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(f"{ini}:{location} {name} must")):
+        load_config(ini)
+
+
+def test_sweep_frees_each_session_before_the_next(tmp_path, monkeypatch):
+    # Only the report of a sweep session is kept: its tags and coincidences
+    # are gone by the time the next session starts.
+    report = KeyRateReport(
+        length_km_per_arm=1.0,
+        traffic_mbps=0.0,
+        duration_s=0.5,
+        sifted_bits=100,
+        sifted_rate=200.0,
+        qber=0.03,
+        asymptotic_rate=10.0,
+        finite_length=0,
+        n_required=12345.0,
+        retained_fraction=0.5,
+        offset_ps=0,
+        ec_inefficiency=1.1,
+        epsilon=1e-10,
+    )
+
+    class Artifacts:
+        pass
+
+    earlier = []
+
+    def run_session(plan):
+        assert all(ref() is None for ref in earlier)
+        release_session(plan)
+        artifacts = Artifacts()
+        earlier.append(weakref.ref(artifacts))
+        return report, artifacts
+
+    monkeypatch.setattr(cli, "run_session", run_session)
+    config = _fast_config(
+        scenario="length_sweep", lengths_km=[1.0], repetitions=3, output_dir=str(tmp_path)
+    )
+    run_experiment(config)
+    assert len(earlier) == 6

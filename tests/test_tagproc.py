@@ -155,6 +155,99 @@ def test_find_offset_shift_equivariance(rng):
         assert find_offset(tags_a, shifted) == base + shift
 
 
+def test_find_offset_independent_session_rate_streams_raise(rng):
+    # Independent streams at session singles rates (170 k tags/s for 4.5 s a
+    # side): the fullest of the 500,001 bins clears 5 sigma over the median
+    # by chance, but not the look-elsewhere bound.
+    tags_a = make_tag_stream(_poisson_times(rng, 170_000, 4.5))
+    tags_b = make_tag_stream(_poisson_times(rng, 170_000, 4.5))
+    with pytest.raises(NoCorrelationPeakError, match="chance bound"):
+        find_offset(tags_a, tags_b)
+
+
+def test_find_offset_no_pairing_in_span_raises():
+    tags_a = make_tag_stream([0, 1_000])
+    tags_b = make_tag_stream([10**9])
+    with pytest.raises(NoCorrelationPeakError, match="no pairing"):
+        find_offset(tags_a, tags_b)
+
+
+def _sparse_times(n, seed):
+    # Gaps of 20 ns plus an exponential 20 us: no B-minus-A difference of
+    # two different tags falls within 20 ns of the shift.
+    gaps = 20_000 + np.random.default_rng(seed).exponential(20e6, n).astype(np.int64)
+    return np.cumsum(gaps)
+
+
+_SPARSE_TIMES = _sparse_times(2_000, 7)
+
+
+@st.composite
+def _width_and_shift(draw):
+    width = draw(st.sampled_from([200, 201, 1000]))
+    reach = tagproc.DEFAULT_SEARCH_SPAN_PS - width
+    return width, draw(st.integers(-reach, reach))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_width_and_shift())
+@example((200, 5_000_100))
+@example((200, 5_000_099))
+@example((200, -100))
+@example((200, -101))
+def test_find_offset_exact_shift_returns_its_bin_center(width_and_shift):
+    # A jitter-free shift s anywhere within +-(span - one bin) comes back as
+    # the center k*w of the half-open bin [k*w - w//2, k*w - w//2 + w) that
+    # holds it: 5,000,100 -> 5,000,200, 5,000,099 -> 5,000,000, -100 -> 0,
+    # -101 -> -200 at w = 200.
+    width, shift = width_and_shift
+    expected = (shift + width // 2) // width * width
+    tags_a = make_tag_stream(_SPARSE_TIMES)
+    tags_b = make_tag_stream(_SPARSE_TIMES + shift)
+    assert find_offset(tags_a, tags_b, bin_width_ps=width) == expected
+
+
+@pytest.mark.parametrize("true_offset, nearest", [(10_080, 10_000), (10_130, 10_200), (-3_170, -3_200)])
+def test_find_offset_jittered_returns_nearest_bin_center(rng, true_offset, nearest):
+    # 50 k pairs with 500 ps jitter a side: the estimate lands within a few
+    # ps of the truth, so the nearest bin center comes back, also when the
+    # fullest 200 ps bin is a neighbour.
+    times = _poisson_times(rng, 50_000)
+    jit_a = np.rint(rng.normal(0, 500, times.size)).astype(np.int64)
+    jit_b = np.rint(rng.normal(0, 500, times.size)).astype(np.int64)
+    tags_a = make_tag_stream(times + jit_a)
+    tags_b = make_tag_stream(times + true_offset + jit_b)
+    assert find_offset(tags_a, tags_b) == nearest
+
+
+def test_find_offset_doubles_source_tags_for_a_weak_peak(monkeypatch):
+    # 0.3% of 765 k A tags have a jittered partner at +2,000,000 ps among
+    # independent B tags. The draw is fixed so that 2**15 source tags are
+    # not enough and 2**16 are.
+    rng = np.random.default_rng(0)
+    times_a = _poisson_times(rng, 170_000, 4.5)
+    partners = times_a[rng.random(times_a.size) < 0.003]
+    jitter = np.rint(rng.normal(0, 500 * math.sqrt(2), partners.size)).astype(np.int64)
+    times_b = np.concatenate([_poisson_times(rng, 170_000, 4.5), partners + 2_000_000 + jitter])
+    tags_a, tags_b = make_tag_stream(times_a), make_tag_stream(times_b)
+    searched = []
+    add_pairings = tagproc._add_pairings
+
+    def counting(counts, ta, *args):
+        searched.append(ta.size)
+        add_pairings(counts, ta, *args)
+
+    monkeypatch.setattr(tagproc, "_add_pairings", counting)
+    assert find_offset(tags_a, tags_b) == 2_000_000
+    assert searched == [32_768, 32_768]
+    # Starting from fewer tags doubles more often; starting at the cap
+    # searches every tag at once. Both find the same offset.
+    monkeypatch.setattr(tagproc, "_COARSE_SOURCE_TAGS", 1_024)
+    assert find_offset(tags_a, tags_b) == 2_000_000
+    monkeypatch.setattr(tagproc, "_COARSE_SOURCE_TAGS", tagproc.DEFAULT_MAX_SOURCE_TAGS)
+    assert find_offset(tags_a, tags_b) == 2_000_000
+
+
 def test_match_disjoint_ranges_empty(rng):
     tags_a = make_tag_stream(np.arange(100, dtype=np.int64) * 1000)
     tags_b = make_tag_stream(np.arange(100, dtype=np.int64) * 1000 + 10_000_000)
