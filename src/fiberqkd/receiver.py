@@ -209,8 +209,9 @@ def sample_pair_tags(
         return TagStream.empty(), TagStream.empty()
     emitted = rng.integers(0, int(round(duration_s * PS_PER_SECOND)), size=n, dtype=np.int64)
     emitted.sort()
-    classes = rng.choice(probs.size, size=n, p=probs / p_click).astype(np.int8)
-    mode, click = np.divmod(classes, np.int8(3))
+    classes = _draw_classes(rng, probs / p_click, n)
+    mode = classes // 3
+    click = classes - 3 * mode
 
     idx_a = np.flatnonzero(click != CLICK_B_ONLY)
     idx_b = np.flatnonzero(click != CLICK_A_ONLY)
@@ -235,20 +236,54 @@ def sample_pair_tags(
     ):
         second = mode[idx] == degraded
         times = emitted[idx] + budget.first_order_delay_ps[side]
-        times += second * budget.mode_delay_ps[side]
+        times[second] += budget.mode_delay_ps[side]
         if detector.jitter_sigma_ps > 0:
-            times += np.rint(
-                rng.normal(0.0, detector.jitter_sigma_ps, size=idx.size)
-            ).astype(np.int64)
-        stream = TagStream(
-            times_ps=times,
-            detectors=2 * basis + bit,
-            origins=np.full(idx.size, TagOrigin.PAIR, dtype=np.int8),
-            pair_ids=idx.astype(np.int64),
-            modes=second.astype(np.int8),
+            jitter = rng.normal(0.0, detector.jitter_sigma_ps, size=idx.size)
+            times += np.rint(jitter, out=jitter).astype(np.int64)
+            # Free this side's jitter before the next side draws its own.
+            del jitter
+        streams.append(
+            _sort_fresh(
+                TagStream(
+                    times_ps=times,
+                    detectors=2 * basis + bit,
+                    origins=np.full(idx.size, TagOrigin.PAIR, dtype=np.int8),
+                    pair_ids=idx.astype(np.int64),
+                    modes=second.astype(np.int8),
+                )
+            )
         )
-        streams.append(stream.sorted_by_time())
     return streams[0], streams[1]
+
+
+def _draw_classes(rng: np.random.Generator, p: np.ndarray, n: int) -> np.ndarray:
+    """``rng.choice(p.size, size=n, p=p)`` as int8, drawing the same uniforms
+    and leaving ``rng`` in the same state.
+
+    ``choice`` draws u ~ U[0, 1) and returns the number of entries of the
+    normalized cumulative ``p`` that are at most u; counting u against the
+    inner edges gives the same index without a binary search.
+    """
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    u = rng.random(n)
+    classes = np.zeros(n, dtype=np.int8)
+    for edge in cdf[:-1]:
+        classes += u >= edge
+    return classes
+
+
+def _sort_fresh(stream: TagStream) -> TagStream:
+    """Sort ``stream`` by time in place, as a stable argsort would. Only the
+    tags out of place are rewritten, so the arrays must be its own."""
+    order = np.argsort(stream.times_ps, kind="stable")
+    moved = np.flatnonzero(order != np.arange(order.size))
+    source = order[moved]
+    for column in (
+        stream.times_ps, stream.detectors, stream.origins, stream.pair_ids, stream.modes
+    ):
+        column[moved] = column[source]
+    return stream
 
 
 def add_noise_tags(
@@ -316,12 +351,26 @@ def apply_dead_time(stream: TagStream, dead_time_ns: float) -> TagStream:
     dead_ps = int(round(dead_time_ns * 1000.0))
     if dead_ps == 0 or len(stream) == 0:
         return stream
+    # A tag at least the dead time after the tag before it, on any detector,
+    # is always kept. So only runs of too-close tags, each with the tag
+    # before it, need the scan, and each run needs only its own tags.
+    run = chained_runs(np.diff(stream.times_ps) < dead_ps)
+    run_times, run_detectors = stream.times_ps[run], stream.detectors[run]
     keep = np.ones(len(stream), dtype=bool)
     for det in range(NUM_DETECTORS):
-        det_idx = np.flatnonzero(stream.detectors == det)
-        times = stream.times_ps[det_idx]
-        keep[det_idx] = _dead_time_keep(times, dead_ps)
-    return stream.take(np.flatnonzero(keep))
+        on_det = np.flatnonzero(run_detectors == det)
+        keep[run[on_det]] = _dead_time_keep(run_times[on_det], dead_ps)
+    return stream.take(keep)
+
+
+def chained_runs(chained: np.ndarray) -> np.ndarray:
+    """Indices of the elements in runs, where element i + 1 is chained to
+    element i when ``chained[i]``: every chained element and the element
+    before each, in order."""
+    in_run = np.zeros(chained.size + 1, dtype=bool)
+    in_run[1:] = chained
+    in_run[:-1] |= chained
+    return np.flatnonzero(in_run)
 
 
 def _dead_time_keep(times: np.ndarray, dead_ps: int) -> np.ndarray:

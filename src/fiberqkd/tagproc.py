@@ -10,7 +10,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .receiver import NUM_DETECTORS, TagStream, load_text_rows, reject_bad_rows, write_rows
+from .receiver import (
+    NUM_DETECTORS,
+    TagStream,
+    chained_runs,
+    load_text_rows,
+    reject_bad_rows,
+    write_rows,
+)
 
 DEFAULT_SEARCH_SPAN_PS = 50_000_000  # +-50 us
 DEFAULT_BIN_WIDTH_PS = 200
@@ -22,8 +29,11 @@ PEAK_SIGNIFICANCE = 5.0
 # them keeps the pairing histogram cheap on multi-megatag streams.
 DEFAULT_MAX_SOURCE_TAGS = 1_000_000
 _PAIRING_CHUNK = 1 << 22
-# The coarse offset search starts from this many A tags and doubles them.
+# The coarse offset search starts from this many A tags and doubles them,
+# halving the start while it would expect more than _COARSE_PAIRINGS
+# pairings, so that a bright B stream does not make the first step dear.
 _COARSE_SOURCE_TAGS = 1 << 15
+_COARSE_PAIRINGS = 1 << 21
 # Largest chance, bounded over all searched bins, that accidentals alone
 # make a histogram peak as full as the accepted one.
 _FALSE_PEAK_BOUND = 1e-6
@@ -158,7 +168,8 @@ def find_offset(
     """Recover the B-minus-A clock offset, coarse to fine.
 
     Coarse: the pairing histogram of ``correlation_histogram`` from the
-    earliest 2**15 A tags, doubled up to ``max_source_tags`` until its
+    earliest 2**15 A tags (fewer when B is so dense that they would expect
+    over 2**21 pairings), doubled up to ``max_source_tags`` until its
     fullest bin clears the median floor by 5 sigma and a look-elsewhere
     bound over all bins; ties go to the smallest absolute offset, then
     the smallest offset. Fine: a flat-kernel mean shift over the pairings
@@ -172,9 +183,10 @@ def find_offset(
     hist = CorrelationHistogram(w, origin, np.zeros(n_bins, dtype=np.int64))
     ta, tb = tags_a.times_ps, tags_b.times_ps
     cap = min(int(max_source_tags), ta.size)
+    start = _coarse_start(tb, n_bins * w)
     used = 0
     while True:
-        n = min(max(2 * used, _COARSE_SOURCE_TAGS), cap)
+        n = min(max(2 * used, start), cap)
         _add_pairings(hist.counts, ta[used:n], tb, origin, w)
         used = n
         shortfall = _peak_shortfall(hist.counts)
@@ -185,6 +197,18 @@ def find_offset(
     centers = hist.centers_ps[hist.counts == hist.counts.max()]
     coarse = int(centers[np.lexsort((centers, np.abs(centers)))[0]])
     return _mean_shift_offset(ta[: max(used, min(_FINE_SOURCE_TAGS, cap))], tb, coarse, w)
+
+
+def _coarse_start(tb: np.ndarray, span_ps: int) -> int:
+    """A tags of the first coarse step: _COARSE_SOURCE_TAGS, halved while
+    they would expect more than _COARSE_PAIRINGS pairings with ``tb`` in a
+    search window ``span_ps`` wide, the B tags taken as uniform over their
+    time range."""
+    per_a = tb.size * min(1.0, span_ps / max(int(tb[-1] - tb[0]), 1))
+    start = _COARSE_SOURCE_TAGS
+    while start > 1 and start * per_a > _COARSE_PAIRINGS:
+        start //= 2
+    return start
 
 
 def _peak_shortfall(counts: np.ndarray) -> str | None:
@@ -270,13 +294,9 @@ def match_coincidences(
     # Integer times make 2*|tb - ta - offset| <= window equivalent to
     # ta + offset - window//2 <= tb <= ta + offset + window//2.
     lo = np.searchsorted(tb, ta + (offset - half), side="left")
-    hi = np.searchsorted(tb, ta + (offset + half), side="right")
-    chained = lo[1:] < hi[:-1]
+    hi = _window_ends(ta, tb, lo, offset + half)
     # A run of chained tags starts at the tag before its first one.
-    in_run = np.zeros(lo.size, dtype=bool)
-    in_run[1:] = chained
-    in_run[:-1] |= chained
-    run = np.flatnonzero(in_run)
+    run = chained_runs(lo[1:] < hi[:-1])
     # From here lo holds each A tag's pick, a match when below hi.
     lo[run] = _chained_picks(lo[run], hi[run])
     ia = np.flatnonzero(lo < hi)
@@ -293,6 +313,27 @@ def match_coincidences(
         idx_b=ib,
         offset_ps=offset,
     )
+
+
+def _window_ends(ta, tb, lo, upper) -> np.ndarray:
+    """One past the last B index with tb <= ta + upper, for each A tag.
+
+    Nearly every window holds at most one B tag, so each end is stepped
+    from the window start ``lo`` over up to two B tags, and only windows
+    that hold a second one get a binary search.
+    """
+    if tb.size == 0:
+        return lo.copy()
+    # tb[min(lo, last)] is in the window when lo < len(tb) and it is at
+    # most the upper edge.
+    gap = tb.take(lo, mode="clip")
+    gap -= ta
+    hi = lo + ((gap <= upper) & (lo < tb.size))
+    held = np.flatnonzero(hi > lo)
+    held = held[hi[held] < tb.size]
+    crowded = held[tb[hi[held]] - ta[held] <= upper]
+    hi[crowded] = np.searchsorted(tb, ta[crowded] + upper, side="right")
+    return hi
 
 
 def _chained_picks(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:

@@ -282,6 +282,45 @@ def test_dead_time_matches_sequential_oracle(rng):
         assert kept.detectors.tolist() == stream.detectors[ref].tolist()
 
 
+@st.composite
+def _dead_time_cases(draw):
+    """(dead time in ns, sorted times, detectors) with gaps that sit on and
+    just inside the dead time, repeated times and long close chains."""
+    dead_ns = draw(st.sampled_from([0.001, 0.003, 50.0]))
+    dead_ps = round(dead_ns * 1000)
+    n_detectors = draw(st.integers(1, NUM_DETECTORS))
+    near = st.sampled_from([0, 1, dead_ps - 1, dead_ps, dead_ps + 1])
+    gaps = draw(st.lists(st.one_of(near, st.integers(0, 3 * dead_ps)), max_size=200))
+    detectors = draw(
+        st.lists(st.integers(0, n_detectors - 1), min_size=len(gaps), max_size=len(gaps))
+    )
+    return dead_ns, np.cumsum(gaps, dtype=np.int64), detectors
+
+
+@settings(max_examples=300, deadline=None)
+@given(_dead_time_cases())
+@example((50.0, np.empty(0, dtype=np.int64), []))
+@example((50.0, np.array([7], dtype=np.int64), [3]))
+@example((50.0, np.array([0, 0, 0], dtype=np.int64), [1, 1, 1]))
+@example((50.0, np.array([0, 50_000, 99_999, 100_000], dtype=np.int64), [2, 2, 2, 2]))
+@example((50.0, np.arange(300, dtype=np.int64) * 49_999, [0] * 300))
+def test_dead_time_equals_sequential_oracle_property(case):
+    dead_ns, times, detectors = case
+    n = times.size
+    stream = TagStream(
+        times_ps=times,
+        detectors=np.array(detectors, dtype=np.int8),
+        origins=np.zeros(n, dtype=np.int8),
+        pair_ids=np.arange(n, dtype=np.int64),
+        modes=np.zeros(n, dtype=np.int8),
+    )
+    kept = apply_dead_time(stream, dead_ns)
+    expected = _dead_time_reference(times.tolist(), detectors, round(dead_ns * 1000))
+    assert kept.pair_ids.tolist() == expected
+    assert np.array_equal(kept.times_ps, times[expected])
+    assert np.array_equal(kept.detectors, stream.detectors[expected])
+
+
 def test_dead_time_idempotent_on_large_stream(rng):
     times = np.sort(rng.integers(0, 10_000_000_000, size=100_000))
     detectors = rng.integers(0, NUM_DETECTORS, size=100_000)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fiberqkd import receiver
 from fiberqkd.channel import PS_PER_KM, ChannelConfig
 from fiberqkd.pairgen import PS_PER_SECOND, SourceParams
 from fiberqkd.receiver import (
@@ -247,3 +248,35 @@ def test_sampler_edge_cases_give_valid_streams(
     assert not np.any((tags_a.modes[ia] == 1) & (tags_b.modes[ib] == 1))
     if fraction == 1.0:
         assert np.all(tags_a.modes[ia] + tags_b.modes[ib] == 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    weights=st.lists(st.sampled_from([0.0, 1e-12, 0.05, 0.3, 1.0, 7.0]), min_size=1, max_size=12)
+    .filter(lambda w: sum(w) > 0),
+    n=st.integers(0, 3_000),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_class_draw_equals_generator_choice(weights, n, seed):
+    p = np.array(weights) / sum(weights)
+    ours, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
+    classes = receiver._draw_classes(ours, p, n)
+    assert classes.dtype == np.int8
+    assert np.array_equal(classes, numpys.choice(p.size, size=n, p=p))
+    # The generator is left where choice leaves it.
+    assert ours.random() == numpys.random()
+
+
+def test_sampler_equal_times_keep_pair_order():
+    # Without jitter, 2,000 pairs over 1,000 emission ticks collide, and
+    # second-order photons (220 ps late) land on other pairs' ticks.
+    arm = ChannelConfig(length_km=0.1, second_mode_fraction=1.0)
+    detector = DetectorParams(efficiency=1.0, jitter_sigma_ps=0.0, second_mode_rejection_db=0.0)
+    source = SourceParams(pair_rate=2e12)
+    for tags in sample_pair_tags(source, arm, arm, detector, 1e-9, seed=4):
+        assert np.any(np.diff(tags.times_ps) == 0)
+        assert np.any(np.diff(tags.pair_ids) < 0)
+        # Sorted by time, and by pair among equal times, as a stable sort
+        # of the pair-ordered tags gives.
+        order = np.lexsort((tags.pair_ids, tags.times_ps))
+        assert np.array_equal(order, np.arange(len(tags)))

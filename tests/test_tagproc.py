@@ -248,6 +248,35 @@ def test_find_offset_doubles_source_tags_for_a_weak_peak(monkeypatch):
     assert find_offset(tags_a, tags_b) == 2_000_000
 
 
+def test_find_offset_starts_from_fewer_source_tags_on_a_bright_stream(monkeypatch):
+    # About 2.2 M B tags/s put 220 B tags in the +-50 us span of each A tag,
+    # so 2**15 source tags would expect 7.2 M pairings on the first step.
+    rng = np.random.default_rng(3)
+    times_a = _poisson_times(rng, 2_000_000, 0.5)
+    partners = times_a[rng.random(times_a.size) < 0.1]
+    jitter = np.rint(rng.normal(0, 500 * math.sqrt(2), partners.size)).astype(np.int64)
+    times_b = np.concatenate([_poisson_times(rng, 2_000_000, 0.5), partners + 3_000_000 + jitter])
+    tags_a, tags_b = make_tag_stream(times_a), make_tag_stream(times_b)
+    tb = tags_b.times_ps
+    per_a = tb.size * 500_001 * 200 / (tb[-1] - tb[0])
+    searched = []
+    add_pairings = tagproc._add_pairings
+
+    def counting(counts, ta, *args):
+        searched.append(ta.size)
+        add_pairings(counts, ta, *args)
+
+    monkeypatch.setattr(tagproc, "_add_pairings", counting)
+    offset = find_offset(tags_a, tags_b)
+    assert offset == 3_000_000
+    assert searched[0] * per_a <= 2**21 < 2 * searched[0] * per_a
+    # Without the bound the search starts from 2**15 tags, to the same end.
+    monkeypatch.setattr(tagproc, "_COARSE_PAIRINGS", math.inf)
+    searched.clear()
+    assert find_offset(tags_a, tags_b) == offset
+    assert searched[0] == 32_768
+
+
 def test_match_disjoint_ranges_empty(rng):
     tags_a = make_tag_stream(np.arange(100, dtype=np.int64) * 1000)
     tags_b = make_tag_stream(np.arange(100, dtype=np.int64) * 1000 + 10_000_000)
