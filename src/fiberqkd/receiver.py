@@ -354,7 +354,7 @@ def apply_dead_time(stream: TagStream, dead_time_ns: float) -> TagStream:
     # A tag at least the dead time after the tag before it, on any detector,
     # is always kept. So only runs of too-close tags, each with the tag
     # before it, need the scan, and each run needs only its own tags.
-    run = chained_runs(np.diff(stream.times_ps) < dead_ps)
+    run = _chained_runs(np.diff(stream.times_ps) < dead_ps)
     run_times, run_detectors = stream.times_ps[run], stream.detectors[run]
     keep = np.ones(len(stream), dtype=bool)
     for det in range(NUM_DETECTORS):
@@ -363,7 +363,7 @@ def apply_dead_time(stream: TagStream, dead_time_ns: float) -> TagStream:
     return stream.take(keep)
 
 
-def chained_runs(chained: np.ndarray) -> np.ndarray:
+def _chained_runs(chained: np.ndarray) -> np.ndarray:
     """Indices of the elements in runs, where element i + 1 is chained to
     element i when ``chained[i]``: every chained element and the element
     before each, in order."""

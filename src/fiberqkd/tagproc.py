@@ -13,7 +13,7 @@ import numpy as np
 from .receiver import (
     NUM_DETECTORS,
     TagStream,
-    chained_runs,
+    _chained_runs,
     load_text_rows,
     reject_bad_rows,
     write_rows,
@@ -296,7 +296,7 @@ def match_coincidences(
     lo = np.searchsorted(tb, ta + (offset - half), side="left")
     hi = _window_ends(ta, tb, lo, offset + half)
     # A run of chained tags starts at the tag before its first one.
-    run = chained_runs(lo[1:] < hi[:-1])
+    run = _chained_runs(lo[1:] < hi[:-1])
     # From here lo holds each A tag's pick, a match when below hi.
     lo[run] = _chained_picks(lo[run], hi[run])
     ia = np.flatnonzero(lo < hi)

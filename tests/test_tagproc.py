@@ -248,6 +248,29 @@ def test_find_offset_doubles_source_tags_for_a_weak_peak(monkeypatch):
     assert find_offset(tags_a, tags_b) == 2_000_000
 
 
+def test_find_offset_over_every_source_tag_finds_the_weak_peak(monkeypatch):
+    # The weak-peak streams above, searched in one histogram over all A tags
+    # (no pairing bound on the start): the offset the doubling search finds.
+    rng = np.random.default_rng(0)
+    times_a = _poisson_times(rng, 170_000, 4.5)
+    partners = times_a[rng.random(times_a.size) < 0.003]
+    jitter = np.rint(rng.normal(0, 500 * math.sqrt(2), partners.size)).astype(np.int64)
+    times_b = np.concatenate([_poisson_times(rng, 170_000, 4.5), partners + 2_000_000 + jitter])
+    tags_a, tags_b = make_tag_stream(times_a), make_tag_stream(times_b)
+    searched = []
+    add_pairings = tagproc._add_pairings
+
+    def counting(counts, ta, *args):
+        searched.append(ta.size)
+        add_pairings(counts, ta, *args)
+
+    monkeypatch.setattr(tagproc, "_add_pairings", counting)
+    monkeypatch.setattr(tagproc, "_COARSE_SOURCE_TAGS", tagproc.DEFAULT_MAX_SOURCE_TAGS)
+    monkeypatch.setattr(tagproc, "_COARSE_PAIRINGS", math.inf)
+    assert find_offset(tags_a, tags_b) == 2_000_000
+    assert searched == [min(tagproc.DEFAULT_MAX_SOURCE_TAGS, times_a.size)]
+
+
 def test_find_offset_starts_from_fewer_source_tags_on_a_bright_stream(monkeypatch):
     # About 2.2 M B tags/s put 220 B tags in the +-50 us span of each A tag,
     # so 2**15 source tags would expect 7.2 M pairings on the first step.
