@@ -209,51 +209,83 @@ def sample_pair_tags(
         return TagStream.empty(), TagStream.empty()
     emitted = rng.integers(0, int(round(duration_s * PS_PER_SECOND)), size=n, dtype=np.int64)
     emitted.sort()
-    classes = _draw_classes(rng, probs / p_click, n)
+    idx, second, detectors = _draw_outcomes(
+        rng, source, budget, probs / p_click, emitted, qber_drift_per_s
+    )
+    # Both sides' times are gathered before the jitter draws, so that the
+    # n emission ticks are freed before either side's jitter is drawn.
+    times = [emitted[i] for i in idx]
+    del emitted
+
+    streams = []
+    for side in (0, 1):
+        side_times = times[side]
+        side_times += budget.first_order_delay_ps[side]
+        side_times[second[side]] += budget.mode_delay_ps[side]
+        if detector.jitter_sigma_ps > 0:
+            jitter = rng.normal(0.0, detector.jitter_sigma_ps, size=side_times.size)
+            # The rounded jitter is cast to int64 chunk by chunk inside the
+            # ufunc, so the sum is exact and makes no int64 temporary.
+            np.add(
+                side_times,
+                np.rint(jitter, out=jitter),
+                out=side_times,
+                dtype=np.int64,
+                casting="unsafe",
+            )
+            # Free this side's jitter before the next side draws its own.
+            del jitter
+        streams.append(
+            _sort_fresh(
+                TagStream(
+                    times_ps=side_times,
+                    detectors=detectors[side],
+                    origins=np.full(side_times.size, TagOrigin.PAIR, dtype=np.int8),
+                    pair_ids=idx[side],
+                    modes=second[side].view(np.int8),
+                )
+            )
+        )
+    return streams[0], streams[1]
+
+
+def _draw_outcomes(rng, source, budget, p, emitted, qber_drift_per_s):
+    """Per side (A, B): the indices of the clicking pairs among the n
+    events, int64; the mask of second-order photons; and the detectors.
+
+    Draws the classes, then basis and outcome on A, basis and outcome on
+    B, then the correlation flips. The class arrays and the basis and bit
+    rows are scratch and go when this returns.
+    """
+    classes = _draw_classes(rng, p, emitted.size)
     mode = classes // 3
     click = classes - 3 * mode
+    del classes
 
-    idx_a = np.flatnonzero(click != CLICK_B_ONLY)
-    idx_b = np.flatnonzero(click != CLICK_A_ONLY)
+    idx_a = np.flatnonzero(click != CLICK_B_ONLY).astype(np.int64, copy=False)
+    idx_b = np.flatnonzero(click != CLICK_A_ONLY).astype(np.int64, copy=False)
     basis_a, bit_a = rng.integers(0, 2, size=(2, idx_a.size), dtype=np.int8)
     basis_b, bit_b = rng.integers(0, 2, size=(2, idx_b.size), dtype=np.int8)
     # Pairs seen on both sides come in the same order in idx_a and idx_b,
     # so these two position lists are aligned.
     both_a = np.flatnonzero(click[idx_a] == CLICK_BOTH)
     both_b = np.flatnonzero(click[idx_b] == CLICK_BOTH)
+    del click
     correlated = (basis_a[both_a] == basis_b[both_b]) & (mode[idx_a[both_a]] == MODE_GOOD)
+    second = (mode[idx_a] == MODE_DEGRADED_A, mode[idx_b] == MODE_DEGRADED_B)
+    del mode
     at_a, at_b = both_a[correlated], both_b[correlated]
     error_p = matched_basis_error_probability(source.intrinsic_visibility)
     if qber_drift_per_s != 0.0:
         arrival_s = (emitted[idx_a[at_a]] + budget.first_order_delay_ps[0]) / PS_PER_SECOND
         error_p = np.clip(error_p + qber_drift_per_s * arrival_s, 0.0, 0.5)
     bit_b[at_b] = bit_a[at_a] ^ (rng.random(at_a.size) < error_p)
+    return (idx_a, idx_b), second, (2 * basis_a + bit_a, 2 * basis_b + bit_b)
 
-    streams = []
-    for side, idx, basis, bit, degraded in (
-        (0, idx_a, basis_a, bit_a, MODE_DEGRADED_A),
-        (1, idx_b, basis_b, bit_b, MODE_DEGRADED_B),
-    ):
-        second = mode[idx] == degraded
-        times = emitted[idx] + budget.first_order_delay_ps[side]
-        times[second] += budget.mode_delay_ps[side]
-        if detector.jitter_sigma_ps > 0:
-            jitter = rng.normal(0.0, detector.jitter_sigma_ps, size=idx.size)
-            times += np.rint(jitter, out=jitter).astype(np.int64)
-            # Free this side's jitter before the next side draws its own.
-            del jitter
-        streams.append(
-            _sort_fresh(
-                TagStream(
-                    times_ps=times,
-                    detectors=2 * basis + bit,
-                    origins=np.full(idx.size, TagOrigin.PAIR, dtype=np.int8),
-                    pair_ids=idx.astype(np.int64),
-                    modes=second.astype(np.int8),
-                )
-            )
-        )
-    return streams[0], streams[1]
+
+# Elements per chunk of the sampler's scratch work: the class uniforms and
+# the sort's displacement pass need no array as long as the session.
+_SCRATCH_CHUNK = 1 << 16
 
 
 def _draw_classes(rng: np.random.Generator, p: np.ndarray, n: int) -> np.ndarray:
@@ -262,23 +294,31 @@ def _draw_classes(rng: np.random.Generator, p: np.ndarray, n: int) -> np.ndarray
 
     ``choice`` draws u ~ U[0, 1) and returns the number of entries of the
     normalized cumulative ``p`` that are at most u; counting u against the
-    inner edges gives the same index without a binary search.
+    inner edges gives the same index without a binary search. The uniforms
+    come ``_SCRATCH_CHUNK`` at a time, the same stream as one call for n.
     """
     cdf = p.cumsum()
     cdf /= cdf[-1]
-    u = rng.random(n)
     classes = np.zeros(n, dtype=np.int8)
-    for edge in cdf[:-1]:
-        classes += u >= edge
+    for start in range(0, n, _SCRATCH_CHUNK):
+        out = classes[start : start + _SCRATCH_CHUNK]
+        u = rng.random(out.size)
+        for edge in cdf[:-1]:
+            out += u >= edge
     return classes
 
 
 def _sort_fresh(stream: TagStream) -> TagStream:
     """Sort ``stream`` by time in place, as a stable argsort would. Only the
     tags out of place are rewritten, so the arrays must be its own."""
-    order = np.argsort(stream.times_ps, kind="stable")
-    moved = np.flatnonzero(order != np.arange(order.size))
-    source = order[moved]
+    shift = np.argsort(stream.times_ps, kind="stable")
+    # shift[i] becomes order[i] - i, the distance the tag now at i moved.
+    for start in range(0, shift.size, _SCRATCH_CHUNK):
+        chunk = shift[start : start + _SCRATCH_CHUNK]
+        chunk -= np.arange(start, start + chunk.size)
+    moved = np.flatnonzero(shift)
+    source = shift[moved] + moved
+    del shift
     for column in (
         stream.times_ps, stream.detectors, stream.origins, stream.pair_ids, stream.modes
     ):
@@ -408,10 +448,21 @@ def write_rows(fh, fmt: str, *columns: np.ndarray) -> None:
         fh.write("".join(map(fmt.format, *(col[rows].tolist() for col in columns))))
 
 
+def check_detectors(*columns: np.ndarray) -> None:
+    """Raise ValueError unless every entry of ``columns`` is a detector
+    0..3, which is all the readers accept."""
+    for column in columns:
+        if column.size and (column.min() < 0 or column.max() >= NUM_DETECTORS):
+            raise ValueError(
+                f"detectors must be 0..{NUM_DETECTORS - 1}, got {column.min()}..{column.max()}"
+            )
+
+
 def write_tags(stream: TagStream, path) -> None:
     """Dump a tag stream as text, one ``<time_ps> <detector> <origin>`` line
     per tag (origin codes: p=pair, b=background, d=dark).
     """
+    check_detectors(stream.detectors)
     if len(stream) and (stream.origins.min() < 0 or stream.origins.max() >= len(TagOrigin)):
         raise ValueError("tag origins must be TagOrigin values")
     codes = np.array([_ORIGIN_CODES[origin] for origin in TagOrigin])

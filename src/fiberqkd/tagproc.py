@@ -14,6 +14,7 @@ from .receiver import (
     NUM_DETECTORS,
     TagStream,
     _chained_runs,
+    check_detectors,
     load_text_rows,
     reject_bad_rows,
     write_rows,
@@ -293,47 +294,59 @@ def match_coincidences(
     half = int(window_ps) // 2
     # Integer times make 2*|tb - ta - offset| <= window equivalent to
     # ta + offset - window//2 <= tb <= ta + offset + window//2.
-    lo = np.searchsorted(tb, ta + (offset - half), side="left")
-    hi = _window_ends(ta, tb, lo, offset + half)
+    lo, hi = _window_ranges(ta, tb, offset - half, offset + half)
     # A run of chained tags starts at the tag before its first one.
     run = _chained_runs(lo[1:] < hi[:-1])
     # From here lo holds each A tag's pick, a match when below hi.
     lo[run] = _chained_picks(lo[run], hi[run])
     ia = np.flatnonzero(lo < hi)
     ib = lo[ia]
+    del lo, hi
     times_a = ta[ia]
     times_b = tb[ib]
+    delta = times_b - times_a
+    delta -= offset
     return Coincidences(
         times_a=times_a,
         times_b=times_b,
         det_a=tags_a.detectors[ia],
         det_b=tags_b.detectors[ib],
-        delta=times_b - times_a - offset,
+        delta=delta,
         idx_a=ia,
         idx_b=ib,
         offset_ps=offset,
     )
 
 
-def _window_ends(ta, tb, lo, upper) -> np.ndarray:
-    """One past the last B index with tb <= ta + upper, for each A tag.
+def _window_ranges(ta, tb, lower, upper) -> tuple[np.ndarray, np.ndarray]:
+    """For each A tag, the range [lo, hi) of B indices with
+    ta + lower <= tb <= ta + upper.
 
-    Nearly every window holds at most one B tag, so each end is stepped
-    from the window start ``lo`` over up to two B tags, and only windows
-    that hold a second one get a binary search.
+    The starts come from a binary search. Nearly every window holds at
+    most one B tag, so each end is stepped from its start over up to two
+    B tags, and only windows that hold a second one get a binary search.
+    The search keys' buffer is reused for the gaps and then the ends.
     """
+    buffer = ta + lower
+    lo = np.searchsorted(tb, buffer, side="left")
     if tb.size == 0:
-        return lo.copy()
-    # tb[min(lo, last)] is in the window when lo < len(tb) and it is at
-    # most the upper edge.
-    gap = tb.take(lo, mode="clip")
-    gap -= ta
-    hi = lo + ((gap <= upper) & (lo < tb.size))
-    held = np.flatnonzero(hi > lo)
-    held = held[hi[held] < tb.size]
-    crowded = held[tb[hi[held]] - ta[held] <= upper]
+        return lo, lo.copy()
+    # B tag lo + k is in the window when it exists and its gap to the A tag
+    # is at most the upper edge; tb[lo] is at or past the lower edge. lo is
+    # shifted in place and back, so that no index array is copied.
+    holds = []
+    for k in (0, 1):
+        lo += k
+        gap = tb.take(lo, mode="clip", out=buffer)
+        lo -= k
+        gap -= ta
+        held = gap <= upper
+        held &= lo < tb.size - k
+        holds.append(held)
+    hi = np.add(lo, holds[0], out=buffer)
+    crowded = np.flatnonzero(holds[1])
     hi[crowded] = np.searchsorted(tb, ta[crowded] + upper, side="right")
-    return hi
+    return lo, hi
 
 
 def _chained_picks(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -404,6 +417,7 @@ _COINCIDENCE_FIELDS = ("time_a_ps", "time_b_ps", "det_a", "det_b", "delta_ps")
 
 def write_coincidences(records: Coincidences, path) -> None:
     """Write records as CSV: time_a_ps,time_b_ps,det_a,det_b,delta_ps."""
+    check_detectors(records.det_a, records.det_b)
     with open(path, "w", encoding="ascii", newline="") as fh:
         fh.write(",".join(_COINCIDENCE_FIELDS) + "\n")
         write_rows(

@@ -1,7 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from fiberqkd.channel import ChannelConfig
+from fiberqkd.pairgen import SourceParams
 from fiberqkd.receiver import TagStream
 
 
@@ -21,6 +25,29 @@ def make_tag_stream(times_ps, detectors=None, origins=None) -> TagStream:
         modes=np.full(n, -1, dtype=np.int8),
     )
     return stream.sorted_by_time()
+
+
+def traced_peak(call, *args, **kwargs):
+    """(result, peak bytes) of ``call(*args, **kwargs)`` under tracemalloc,
+    the peak counted above what was traced when the call began."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = call(*args, **kwargs)
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def column_bytes(record, fields) -> int:
+    """Bytes held by the named array fields of ``record``."""
+    return sum(getattr(record, name).nbytes for name in fields)
+
+
+# The dense session's arms and rate (0.25 km default arms, 4e5 pairs/s),
+# over 2 s: about 0.22 M pair tags per side.
+DENSE_ARM = ChannelConfig(length_km=0.25)
+DENSE_SOURCE = SourceParams(pair_rate=4e5)
 
 
 # Timetags for text round trips: mostly up to 15 digits either side of

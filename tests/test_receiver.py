@@ -396,6 +396,16 @@ def test_write_tags_rejects_unknown_origin(tmp_path, origin):
         write_tags(stream, tmp_path / "tags.txt")
 
 
+@pytest.mark.parametrize("detector", [-1, 4, 7])
+def test_write_tags_rejects_detector_outside_0_to_3(tmp_path, detector):
+    # read_tags refuses such a file, so the writer must not make one.
+    stream = make_tag_stream([1, 9], detectors=[0, detector])
+    path = tmp_path / "tags.txt"
+    with pytest.raises(ValueError, match="detectors must be 0..3"):
+        write_tags(stream, path)
+    assert not path.exists()
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     tags=st.lists(

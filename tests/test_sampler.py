@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import DENSE_ARM, DENSE_SOURCE, column_bytes, traced_peak
 from fiberqkd import receiver
 from fiberqkd.channel import PS_PER_KM, ChannelConfig
 from fiberqkd.pairgen import PS_PER_SECOND, SourceParams
@@ -256,20 +257,26 @@ def test_sampler_edge_cases_give_valid_streams(
     .filter(lambda w: sum(w) > 0),
     n=st.integers(0, 3_000),
     seed=st.integers(0, 2**32 - 1),
+    chunk=st.sampled_from([1, 7, 1_000, receiver._SCRATCH_CHUNK]),
 )
-def test_class_draw_equals_generator_choice(weights, n, seed):
+def test_class_draw_equals_generator_choice(weights, n, seed, chunk):
+    # Uniforms drawn a chunk at a time are the stream of one draw of n.
     p = np.array(weights) / sum(weights)
     ours, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
-    classes = receiver._draw_classes(ours, p, n)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(receiver, "_SCRATCH_CHUNK", chunk)
+        classes = receiver._draw_classes(ours, p, n)
     assert classes.dtype == np.int8
     assert np.array_equal(classes, numpys.choice(p.size, size=n, p=p))
     # The generator is left where choice leaves it.
     assert ours.random() == numpys.random()
 
 
-def test_sampler_equal_times_keep_pair_order():
+def test_sampler_equal_times_keep_pair_order(monkeypatch):
     # Without jitter, 2,000 pairs over 1,000 emission ticks collide, and
-    # second-order photons (220 ps late) land on other pairs' ticks.
+    # second-order photons (220 ps late) land on other pairs' ticks. A
+    # small chunk takes the sort's displacement pass through many chunks.
+    monkeypatch.setattr(receiver, "_SCRATCH_CHUNK", 7)
     arm = ChannelConfig(length_km=0.1, second_mode_fraction=1.0)
     detector = DetectorParams(efficiency=1.0, jitter_sigma_ps=0.0, second_mode_rejection_db=0.0)
     source = SourceParams(pair_rate=2e12)
@@ -280,3 +287,15 @@ def test_sampler_equal_times_keep_pair_order():
         # of the pair-ordered tags gives.
         order = np.lexsort((tags.pair_ids, tags.times_ps))
         assert np.array_equal(order, np.arange(len(tags)))
+
+
+def test_sampler_peak_memory_tracks_its_output():
+    # The sampler's scratch (class uniforms, indices, jitter, sort order)
+    # must stay below three quarters of the tags it returns.
+    streams, peak = traced_peak(
+        sample_pair_tags, DENSE_SOURCE, DENSE_ARM, DENSE_ARM, DetectorParams(), 2.0, seed=3
+    )
+    fields = ("times_ps", "detectors", "origins", "pair_ids", "modes")
+    output = sum(column_bytes(tags, fields) for tags in streams)
+    assert min(len(tags) for tags in streams) > 200_000
+    assert peak <= 1.75 * output, f"peak {peak / output:.2f} x the output"

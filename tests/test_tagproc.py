@@ -7,8 +7,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import dump_times, make_tag_stream
+from conftest import (
+    DENSE_ARM,
+    DENSE_SOURCE,
+    column_bytes,
+    dump_times,
+    make_tag_stream,
+    traced_peak,
+)
 from fiberqkd import receiver, tagproc
+from fiberqkd.receiver import DetectorParams, sample_pair_tags
 from fiberqkd.tagproc import (
     Coincidences,
     ModeFilterWarning,
@@ -465,6 +473,21 @@ def test_match_capture_fraction_matches_erf(rng):
     assert abs(len(records) - capture * n) < 4 * sigma
 
 
+def test_match_peak_memory_beyond_records():
+    # The window bounds need two int64 arrays the size of A; the scratch on
+    # top of the returned records must stay within twice A's times.
+    tags_a, tags_b = sample_pair_tags(
+        DENSE_SOURCE, DENSE_ARM, DENSE_ARM, DetectorParams(), 2.0, seed=3
+    )
+    records, peak = traced_peak(match_coincidences, tags_a, tags_b, 0)
+    fields = ("times_a", "times_b", "det_a", "det_b", "delta", "idx_a", "idx_b")
+    scratch = peak - column_bytes(records, fields)
+    assert len(records) > 40_000
+    assert scratch <= 2 * tags_a.times_ps.nbytes, (
+        f"scratch {scratch / tags_a.times_ps.nbytes:.2f} x A's times"
+    )
+
+
 def test_match_rejects_unsorted():
     from fiberqkd.receiver import TagStream
 
@@ -645,6 +668,16 @@ def test_write_coincidences_exact_bytes(monkeypatch, tmp_path, chunk_rows):
     )
     write_coincidences(records.take(np.zeros(5, dtype=bool)), path)
     assert path.read_bytes() == b"time_a_ps,time_b_ps,det_a,det_b,delta_ps\n"
+
+
+@pytest.mark.parametrize("det_a, det_b", [(9, 0), (0, -1), (4, 3)])
+def test_write_coincidences_rejects_detector_outside_0_to_3(tmp_path, det_a, det_b):
+    # read_coincidences refuses such a file, so the writer must not make one.
+    records = _records([0, 5], det_a=[1, det_a], det_b=[2, det_b])
+    path = tmp_path / "coincidences.csv"
+    with pytest.raises(ValueError, match="detectors must be 0..3"):
+        write_coincidences(records, path)
+    assert not path.exists()
 
 
 _detectors = st.integers(0, 3)
