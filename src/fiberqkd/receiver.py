@@ -19,6 +19,9 @@ from .channel import PS_PER_KM, ChannelConfig, transmittance
 from .pairgen import PS_PER_SECOND, SourceParams, matched_basis_error_probability
 
 NUM_DETECTORS = 4
+# Largest pair id and largest tag stream: pair ids and the matcher's tag
+# indices are int32.
+MAX_TAGS = int(np.iinfo(np.int32).max)
 
 
 class TagOrigin(IntEnum):
@@ -64,6 +67,7 @@ class TagStream:
     ``pair_ids`` holds, for a pair tag, the id of its pair, which the
     partner's tag of the same pair shares (``sample_pair_tags`` numbers
     the session's clicking pairs in time order), and -1 for noise tags;
+    it is int32, so a session holds at most 2**31 - 1 clicking pairs.
     ``modes`` is 1 for second-order-mode photons, 0 for first-order, -1
     for noise tags.
     """
@@ -71,7 +75,7 @@ class TagStream:
     times_ps: np.ndarray   # int64
     detectors: np.ndarray  # int8, 0..3
     origins: np.ndarray    # int8, TagOrigin values
-    pair_ids: np.ndarray   # int64
+    pair_ids: np.ndarray   # int32
     modes: np.ndarray      # int8
 
     def __len__(self) -> int:
@@ -83,7 +87,7 @@ class TagStream:
             times_ps=np.empty(0, dtype=np.int64),
             detectors=np.empty(0, dtype=np.int8),
             origins=np.empty(0, dtype=np.int8),
-            pair_ids=np.empty(0, dtype=np.int64),
+            pair_ids=np.empty(0, dtype=np.int32),
             modes=np.empty(0, dtype=np.int8),
         )
 
@@ -196,7 +200,9 @@ def sample_pair_tags(
     time-ordered list of clicking pairs, shared by both sides; ``modes`` is
     1 for a second-order photon. Deterministic under ``seed``; the draw
     order is count, ticks, classes, basis and outcome on A, basis and
-    outcome on B, correlation flips, jitter on A, jitter on B.
+    outcome on B, correlation flips, jitter on A, jitter on B. Raises
+    ValueError, before any array is drawn, when the count exceeds the
+    2**31 - 1 ids that the int32 ``pair_ids`` can hold.
     """
     if not (math.isfinite(duration_s) and duration_s > 0):
         raise ValueError(f"duration_s must be finite and > 0, got {duration_s}")
@@ -205,6 +211,10 @@ def sample_pair_tags(
     p_click = float(probs.sum())
     rng = np.random.default_rng(seed)
     n = int(rng.poisson(source.pair_rate * duration_s * p_click))
+    if n > MAX_TAGS:
+        raise ValueError(
+            f"{n} clicking pairs in {duration_s} s exceed the {MAX_TAGS} int32 pair ids"
+        )
     if n == 0:
         return TagStream.empty(), TagStream.empty()
     emitted = rng.integers(0, int(round(duration_s * PS_PER_SECOND)), size=n, dtype=np.int64)
@@ -251,7 +261,7 @@ def sample_pair_tags(
 
 def _draw_outcomes(rng, source, budget, p, emitted, qber_drift_per_s):
     """Per side (A, B): the indices of the clicking pairs among the n
-    events, int64; the mask of second-order photons; and the detectors.
+    events, int32; the mask of second-order photons; and the detectors.
 
     Draws the classes, then basis and outcome on A, basis and outcome on
     B, then the correlation flips. The class arrays and the basis and bit
@@ -262,8 +272,8 @@ def _draw_outcomes(rng, source, budget, p, emitted, qber_drift_per_s):
     click = classes - 3 * mode
     del classes
 
-    idx_a = np.flatnonzero(click != CLICK_B_ONLY).astype(np.int64, copy=False)
-    idx_b = np.flatnonzero(click != CLICK_A_ONLY).astype(np.int64, copy=False)
+    idx_a = np.flatnonzero(click != CLICK_B_ONLY).astype(np.int32)
+    idx_b = np.flatnonzero(click != CLICK_A_ONLY).astype(np.int32)
     basis_a, bit_a = rng.integers(0, 2, size=(2, idx_a.size), dtype=np.int8)
     basis_b, bit_b = rng.integers(0, 2, size=(2, idx_b.size), dtype=np.int8)
     # Pairs seen on both sides come in the same order in idx_a and idx_b,
@@ -528,7 +538,7 @@ def read_tags(path) -> TagStream:
         times_ps=np.ascontiguousarray(rows["time"]),
         detectors=np.ascontiguousarray(detectors),
         origins=origins,
-        pair_ids=np.full(rows.size, -1, dtype=np.int64),
+        pair_ids=np.full(rows.size, -1, dtype=np.int32),
         modes=np.full(rows.size, -1, dtype=np.int8),
     )
     if not stream.is_sorted():

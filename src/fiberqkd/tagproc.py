@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .receiver import (
+    MAX_TAGS,
     NUM_DETECTORS,
     TagStream,
     _chained_runs,
@@ -42,6 +43,8 @@ _FALSE_PEAK_BOUND = 1e-6
 # this margin of the coarse peak, from up to this many A tags.
 _FINE_MARGIN_PS = 2000
 _FINE_SOURCE_TAGS = 1 << 18
+# A tags per chunk of the coincidence match, which bounds its scratch.
+_MATCH_CHUNK = 1 << 16
 
 
 class NoCorrelationPeakError(RuntimeError):
@@ -81,7 +84,9 @@ class CorrelationHistogram:
 @dataclass(eq=False)
 class Coincidences:
     """Matched A/B detection pairs. ``delta`` is time_b - time_a - offset;
-    ``idx_a``/``idx_b`` index into the source tag streams."""
+    ``idx_a``/``idx_b`` index into the source tag streams as int32, so a
+    matched stream holds at most 2**31 - 1 tags (-1 when read from a
+    file)."""
 
     times_a: np.ndarray
     times_b: np.ndarray
@@ -274,7 +279,8 @@ def match_coincidences(
     Greedy earliest-first: A tags are taken in time order, and each is
     paired with the earliest B tag inside its window that no earlier A tag
     took, so every tag is used at most once. ``window_ps`` is the full
-    window width.
+    window width. Each stream may hold at most 2**31 - 1 tags, since the
+    returned indices are int32.
 
     Each A tag's window is a range [lo, hi) of B indices, found by binary
     search. A tag whose range starts at or after the end of its
@@ -282,10 +288,18 @@ def match_coincidences(
     B tag ``lo`` when the range is not empty. Only runs of "chained" tags,
     whose ranges overlap their predecessor's, need the sequential rule
     pick = max(lo, last matched pick + 1), which ``_chained_picks`` applies
-    in order.
+    in order. A is walked ``_MATCH_CHUNK`` tags at a time, so the ranges
+    need no array as long as A; the last matched pick carries a run
+    across a chunk boundary.
     """
     if window_ps < 0:
         raise ValueError(f"window_ps must be >= 0, got {window_ps}")
+    for side, tags in (("A", tags_a), ("B", tags_b)):
+        if len(tags) > MAX_TAGS:
+            raise ValueError(
+                f"stream {side} holds {len(tags)} tags, more than the {MAX_TAGS} "
+                "that int32 indices reach"
+            )
     if not tags_a.is_sorted() or not tags_b.is_sorted():
         raise ValueError("tag streams must be sorted by time")
     ta = tags_a.times_ps
@@ -294,14 +308,18 @@ def match_coincidences(
     half = int(window_ps) // 2
     # Integer times make 2*|tb - ta - offset| <= window equivalent to
     # ta + offset - window//2 <= tb <= ta + offset + window//2.
-    lo, hi = _window_ranges(ta, tb, offset - half, offset + half)
-    # A run of chained tags starts at the tag before its first one.
-    run = _chained_runs(lo[1:] < hi[:-1])
-    # From here lo holds each A tag's pick, a match when below hi.
-    lo[run] = _chained_picks(lo[run], hi[run])
-    ia = np.flatnonzero(lo < hi)
-    ib = lo[ia]
-    del lo, hi
+    lower, upper = offset - half, offset + half
+    picks_a, picks_b = [np.empty(0, dtype=np.int32)], [np.empty(0, dtype=np.int32)]
+    last = -1
+    for start in range(0, ta.size, _MATCH_CHUNK):
+        ia, ib, last = _match_chunk(ta[start : start + _MATCH_CHUNK], tb, lower, upper, last)
+        ia += start
+        picks_a.append(ia)
+        picks_b.append(ib)
+    ia = np.concatenate(picks_a)
+    del picks_a
+    ib = np.concatenate(picks_b)
+    del picks_b
     times_a = ta[ia]
     times_b = tb[ib]
     delta = times_b - times_a
@@ -316,6 +334,24 @@ def match_coincidences(
         idx_b=ib,
         offset_ps=offset,
     )
+
+
+def _match_chunk(ta, tb, lower, upper, last: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """The matched A tags of the chunk ``ta`` as int32 indices into it, their
+    B picks as int32, and the last matched pick, given the last one
+    ``last`` before the chunk."""
+    lo, hi = _window_ranges(ta, tb, lower, upper)
+    # The chunk's first tag may be chained to the previous chunk's last
+    # one; if it is not, its lo is already past every earlier pick.
+    lo[0] = max(lo[0], last + 1)
+    # A run of chained tags starts at the tag before its first one.
+    run = _chained_runs(lo[1:] < hi[:-1])
+    # From here lo holds each A tag's pick, a match when below hi.
+    lo[run] = _chained_picks(lo[run], hi[run], last)
+    matched = np.flatnonzero(lo < hi)
+    if matched.size:
+        last = int(lo[matched[-1]])
+    return matched.astype(np.int32), lo[matched].astype(np.int32), last
 
 
 def _window_ranges(ta, tb, lower, upper) -> tuple[np.ndarray, np.ndarray]:
@@ -349,14 +385,14 @@ def _window_ranges(ta, tb, lower, upper) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
-def _chained_picks(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+def _chained_picks(lo: np.ndarray, hi: np.ndarray, last: int) -> np.ndarray:
     """The B index each A tag of the given runs picks under the greedy rule
-    pick = max(lo, last matched pick + 1); the tag is matched when its pick
-    is below its hi. No tag of an earlier run can raise a pick, because its
+    pick = max(lo, last matched pick + 1), starting from the matched pick
+    ``last`` of the tags before them; the tag is matched when its pick is
+    below its hi. No tag of an earlier run can raise a pick, because its
     matched pick lies below the next run's first lo.
     """
     picks = []
-    last = -1
     for first, end in zip(lo.tolist(), hi.tolist()):
         pick = first if first > last else last + 1
         picks.append(pick)
@@ -461,7 +497,7 @@ def read_coincidences(path, offset_ps: int = 0) -> Coincidences:
         det_a=data[:, 2].astype(np.int8),
         det_b=data[:, 3].astype(np.int8),
         delta=data[:, 4],
-        idx_a=np.full(len(data), -1, dtype=np.int64),
-        idx_b=np.full(len(data), -1, dtype=np.int64),
+        idx_a=np.full(len(data), -1, dtype=np.int32),
+        idx_b=np.full(len(data), -1, dtype=np.int32),
         offset_ps=offset_ps,
     )

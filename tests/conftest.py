@@ -21,7 +21,7 @@ def make_tag_stream(times_ps, detectors=None, origins=None) -> TagStream:
         times_ps=times,
         detectors=np.asarray(detectors, dtype=np.int8),
         origins=np.asarray(origins, dtype=np.int8),
-        pair_ids=np.full(n, -1, dtype=np.int64),
+        pair_ids=np.full(n, -1, dtype=np.int32),
         modes=np.full(n, -1, dtype=np.int8),
     )
     return stream.sorted_by_time()

@@ -253,7 +253,7 @@ def detect_pairs(
             times_ps=times.astype(np.int64),
             detectors=(2 * basis[idx] + bit[idx]).astype(np.int8),
             origins=np.full(idx.size, TagOrigin.PAIR, dtype=np.int8),
-            pair_ids=idx.astype(np.int64),
+            pair_ids=idx.astype(np.int32),
             modes=transits.second_order[idx].astype(np.int8),
         )
         streams.append(stream.sorted_by_time())

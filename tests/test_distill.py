@@ -25,8 +25,8 @@ def _records(det_a, det_b):
         det_a=det_a,
         det_b=det_b,
         delta=zeros,
-        idx_a=np.arange(n, dtype=np.int64),
-        idx_b=np.arange(n, dtype=np.int64),
+        idx_a=np.arange(n, dtype=np.int32),
+        idx_b=np.arange(n, dtype=np.int32),
         offset_ps=0,
     )
 

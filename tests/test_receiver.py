@@ -182,7 +182,7 @@ def _noise_merge_reference(stream, rate, origin, duration_s, seed):
         times_ps=rng.integers(0, int(round(duration_s * PS_PER_SECOND)), size=total, dtype=np.int64),
         detectors=np.repeat(np.arange(NUM_DETECTORS, dtype=np.int8), counts),
         origins=np.full(total, int(origin), dtype=np.int8),
-        pair_ids=np.full(total, -1, dtype=np.int64),
+        pair_ids=np.full(total, -1, dtype=np.int32),
         modes=np.full(total, -1, dtype=np.int8),
     )
     merged = TagStream(
@@ -206,7 +206,7 @@ def test_noise_merge_equals_concat_and_stable_sort(rng, seed):
         times_ps=np.sort(rng.integers(-5, 55, size=n, dtype=np.int64)),
         detectors=rng.integers(0, NUM_DETECTORS, size=n).astype(np.int8),
         origins=np.zeros(n, dtype=np.int8),
-        pair_ids=np.arange(n, dtype=np.int64),
+        pair_ids=np.arange(n, dtype=np.int32),
         modes=rng.integers(0, 2, size=n).astype(np.int8),
     )
     cases = [stream, TagStream.empty(), stream.take(rng.permutation(n))]
@@ -311,7 +311,7 @@ def test_dead_time_equals_sequential_oracle_property(case):
         times_ps=times,
         detectors=np.array(detectors, dtype=np.int8),
         origins=np.zeros(n, dtype=np.int8),
-        pair_ids=np.arange(n, dtype=np.int64),
+        pair_ids=np.arange(n, dtype=np.int32),
         modes=np.zeros(n, dtype=np.int8),
     )
     kept = apply_dead_time(stream, dead_ns)
@@ -345,7 +345,7 @@ def test_dead_time_rejects_unsorted():
         times_ps=np.array([100, 0], dtype=np.int64),
         detectors=np.zeros(2, dtype=np.int8),
         origins=np.zeros(2, dtype=np.int8),
-        pair_ids=np.full(2, -1, dtype=np.int64),
+        pair_ids=np.full(2, -1, dtype=np.int32),
         modes=np.full(2, -1, dtype=np.int8),
     )
     with pytest.raises(ValueError):
@@ -435,7 +435,7 @@ def test_tag_text_roundtrip_property(tmp_path_factory, tags, pad, blank, newline
         times_ps=np.array(times, dtype=np.int64),
         detectors=np.array(detectors, dtype=np.int8),
         origins=np.array(origins, dtype=np.int8),
-        pair_ids=np.full(n, -1, dtype=np.int64),
+        pair_ids=np.full(n, -1, dtype=np.int32),
         modes=np.full(n, -1, dtype=np.int8),
     )
     path = tmp_path_factory.mktemp("tags") / "tags.txt"
@@ -453,6 +453,7 @@ def test_tag_text_roundtrip_property(tmp_path_factory, tags, pad, blank, newline
     for name in ("times_ps", "detectors", "origins", "pair_ids", "modes"):
         got, want = getattr(loaded, name), getattr(expected, name)
         assert got.dtype == want.dtype and np.array_equal(got, want), name
+    assert loaded.pair_ids.dtype == np.int32
 
 
 @pytest.mark.parametrize(

@@ -208,6 +208,13 @@ def test_sampler_rejects_bad_duration(duration_s):
         sample_pair_tags(SOURCE, ARM_A, ARM_B, DETECTOR, duration_s, seed=1)
 
 
+def test_sampler_rejects_more_pairs_than_int32_ids():
+    # About 4e16 clicking pairs: the count must be refused before the ticks,
+    # which would need far more memory than any machine has, are drawn.
+    with pytest.raises(ValueError, match="int32 pair ids"):
+        sample_pair_tags(SourceParams(pair_rate=1e15), DENSE_ARM, DENSE_ARM, DETECTOR, 100.0, 1)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     pair_rate=st.sampled_from([0.0, 1e3, 3e5]),
@@ -241,6 +248,7 @@ def test_sampler_edge_cases_give_valid_streams(
         assert np.unique(tags.pair_ids).size == len(tags)
         assert set(tags.modes.tolist()) <= ({0} if fraction == 0.0 else {0, 1})
         assert tags.times_ps.dtype == np.int64
+        assert tags.pair_ids.dtype == np.int32
     # Every sampled event clicks somewhere: the ids of both sides together
     # number the events 0..n-1.
     ids = np.union1d(tags_a.pair_ids, tags_b.pair_ids)

@@ -50,8 +50,8 @@ def _records(delta, det_a=None, det_b=None):
         det_a=np.asarray(det_a, dtype=np.int8),
         det_b=np.asarray(det_b, dtype=np.int8),
         delta=delta,
-        idx_a=np.arange(n, dtype=np.int64),
-        idx_b=np.arange(n, dtype=np.int64),
+        idx_a=np.arange(n, dtype=np.int32),
+        idx_b=np.arange(n, dtype=np.int32),
         offset_ps=0,
     )
 
@@ -438,7 +438,30 @@ def test_match_property_offset_out_of_range(ta, tb, window, side, beyond):
     assert _assert_matches_oracle(ta, tb, offset, window) == []
 
 
-def test_match_dense_chains_equal_oracle(rng):
+@pytest.mark.parametrize("chunk", [1, 2, 3, 7])
+@settings(max_examples=300, deadline=None)
+@given(
+    ta=_small_times,
+    tb=_small_times,
+    offset=st.integers(-120, 120),
+    window=st.integers(0, 150),
+)
+# One run of chained tags through every chunk boundary.
+@example(ta=list(range(8)), tb=list(range(8)), offset=0, window=20)
+# Every tag matched, so every chunk ends on a match.
+@example(ta=list(range(0, 400, 50)), tb=list(range(0, 400, 50)), offset=0, window=0)
+# A chained tag after a boundary whose predecessors went unmatched.
+@example(ta=[3, 3, 3, 10], tb=[3, 10], offset=0, window=0)
+# A chunk's first tag pushed past its lo by the previous chunk's pick.
+@example(ta=[0, 0, 100], tb=[0, 1, 100], offset=0, window=2)
+@example(ta=[], tb=[5, 9], offset=0, window=2000)
+def test_match_in_chunks_equals_oracle(chunk, ta, tb, offset, window):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tagproc, "_MATCH_CHUNK", chunk)
+        _assert_matches_oracle(ta, tb, offset, window)
+
+
+def _assert_dense_chains_match_oracle(rng):
     # Dense streams with a window of many tag spacings chain almost every
     # tag; the chained-tag resolution must give the oracle's pairs.
     for _ in range(20):
@@ -448,6 +471,55 @@ def test_match_dense_chains_equal_oracle(rng):
         offset = int(rng.integers(-100, 100))
         window = int(rng.integers(50, 1_500))
         _assert_matches_oracle(ta.tolist(), tb.tolist(), offset, window)
+
+
+def test_match_dense_chains_equal_oracle(rng):
+    _assert_dense_chains_match_oracle(rng)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 7])
+def test_match_dense_chains_in_chunks_equal_oracle(monkeypatch, rng, chunk):
+    monkeypatch.setattr(tagproc, "_MATCH_CHUNK", chunk)
+    _assert_dense_chains_match_oracle(rng)
+
+
+def test_match_chunks_equal_one_chunk_at_dense_size(monkeypatch):
+    # About 0.22 M tags per side in the session's match window: the default
+    # chunk walks A in several pieces, which must pick what one piece does.
+    tags_a, tags_b = sample_pair_tags(
+        DENSE_SOURCE, DENSE_ARM, DENSE_ARM, DetectorParams(), 2.0, seed=3
+    )
+    assert len(tags_a) > 3 * tagproc._MATCH_CHUNK
+    window = 2000 + 2 * DENSE_ARM.mode_delay_ps + 8 * round(500 * math.sqrt(2))
+    chunked = match_coincidences(tags_a, tags_b, 0, window)
+    monkeypatch.setattr(tagproc, "_MATCH_CHUNK", len(tags_a))
+    whole = match_coincidences(tags_a, tags_b, 0, window)
+    assert len(chunked) > 40_000
+    for records in (chunked, whole):
+        assert records.idx_a.dtype == records.idx_b.dtype == np.int32
+    assert np.array_equal(chunked.idx_a, whole.idx_a)
+    assert np.array_equal(chunked.idx_b, whole.idx_b)
+
+
+def test_match_rejects_streams_beyond_int32_indices():
+    # Zero-stride columns of 2**31 tags take no memory; the matcher must
+    # refuse them before it reads a tag, so is_sorted may not be called.
+    from fiberqkd.receiver import TagStream
+
+    n = 2**31
+    huge = TagStream(
+        times_ps=np.broadcast_to(np.int64(0), (n,)),
+        detectors=np.broadcast_to(np.int8(0), (n,)),
+        origins=np.broadcast_to(np.int8(0), (n,)),
+        pair_ids=np.broadcast_to(np.int32(-1), (n,)),
+        modes=np.broadcast_to(np.int8(-1), (n,)),
+    )
+    small = make_tag_stream([0])
+    for tags in (huge, small):
+        tags.is_sorted = lambda: pytest.fail("the matcher read the tags")
+    for tags_a, tags_b in ((huge, small), (small, huge)):
+        with pytest.raises(ValueError, match="int32"):
+            match_coincidences(tags_a, tags_b, 0, 2000)
 
 
 def test_match_injective(rng):
@@ -474,8 +546,8 @@ def test_match_capture_fraction_matches_erf(rng):
 
 
 def test_match_peak_memory_beyond_records():
-    # The window bounds need two int64 arrays the size of A; the scratch on
-    # top of the returned records must stay within twice A's times.
+    # The window bounds are found a chunk of A at a time; the scratch on top
+    # of the returned records must stay within half of A's times.
     tags_a, tags_b = sample_pair_tags(
         DENSE_SOURCE, DENSE_ARM, DENSE_ARM, DetectorParams(), 2.0, seed=3
     )
@@ -483,7 +555,7 @@ def test_match_peak_memory_beyond_records():
     fields = ("times_a", "times_b", "det_a", "det_b", "delta", "idx_a", "idx_b")
     scratch = peak - column_bytes(records, fields)
     assert len(records) > 40_000
-    assert scratch <= 2 * tags_a.times_ps.nbytes, (
+    assert scratch <= 0.5 * tags_a.times_ps.nbytes, (
         f"scratch {scratch / tags_a.times_ps.nbytes:.2f} x A's times"
     )
 
@@ -495,7 +567,7 @@ def test_match_rejects_unsorted():
         times_ps=np.array([5, 1], dtype=np.int64),
         detectors=np.zeros(2, dtype=np.int8),
         origins=np.zeros(2, dtype=np.int8),
-        pair_ids=np.full(2, -1, dtype=np.int64),
+        pair_ids=np.full(2, -1, dtype=np.int32),
         modes=np.full(2, -1, dtype=np.int8),
     )
     good = make_tag_stream([1, 5])
@@ -706,8 +778,8 @@ def test_coincidence_csv_roundtrip_property(tmp_path_factory, rows, pad, blank, 
         det_a=np.array(columns[2], dtype=np.int8),
         det_b=np.array(columns[3], dtype=np.int8),
         delta=np.array(columns[4], dtype=np.int64),
-        idx_a=np.full(n, -1, dtype=np.int64),
-        idx_b=np.full(n, -1, dtype=np.int64),
+        idx_a=np.full(n, -1, dtype=np.int32),
+        idx_b=np.full(n, -1, dtype=np.int32),
         offset_ps=offset,
     )
     path = tmp_path_factory.mktemp("coincidences") / "coincidences.csv"
