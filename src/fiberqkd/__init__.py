@@ -9,7 +9,6 @@ from .channel import (
     second_mode_delay_ps,
     transmittance,
 )
-from .cli import ExperimentConfig, emit_csv, load_config, run_experiment
 from .distill import (
     KeyRateError,
     KeyRateReport,
@@ -43,11 +42,8 @@ from .receiver import (
 )
 from .tagproc import (
     Coincidences,
-    CorrelationHistogram,
     ModeFilterWarning,
     NoCorrelationPeakError,
-    correlation_histogram,
-    estimate_visibility_and_qber,
     find_offset,
     match_coincidences,
     temporal_mode_filter,

@@ -45,7 +45,6 @@ class KeyRateReport:
 
     length_km_per_arm: float
     traffic_mbps: float
-    duration_s: float
     sifted_bits: int
     sifted_rate: float               # bits/s
     qber: float
@@ -54,8 +53,6 @@ class KeyRateReport:
     n_required: float                # min sifted bits for any positive key; inf if none
     retained_fraction: float         # coincidences surviving the mode filter
     offset_ps: int
-    ec_inefficiency: float
-    epsilon: float
 
     CSV_FIELDS = (
         "length_km_per_arm",

@@ -4,7 +4,6 @@ per-user fiber arms, and end-to-end key-distribution sessions.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import threading
 from dataclasses import dataclass
@@ -105,8 +104,6 @@ class SessionArtifacts:
     tags_b: TagStream
     records: tagproc.Coincidences          # wide-window matches, pre mode filter
     filtered_records: tagproc.Coincidences
-    offset_ps: int
-    retained_fraction: float
     mode_filter_ambiguous: bool
 
 
@@ -116,15 +113,12 @@ def schedule_session(
     user_b: str,
     duration_s: float,
     seed: int,
-    traffic_mbps: float | None = None,
 ) -> SessionPlan:
     """Switch the source to a user pair and return the session plan.
 
     Holds the source until ``run_session`` completes (or ``release_session``
     is called); scheduling while a session is active fails with
-    SourceBusyError. ``traffic_mbps`` overrides the data rate on both arms'
-    traffic settings; under the constant-power transceiver model this does
-    not change the induced noise.
+    SourceBusyError.
     """
     for name in (user_a, user_b):
         if name not in topology.users:
@@ -133,23 +127,12 @@ def schedule_session(
         raise ValueError(f"cannot pair user {user_a!r} with itself")
     if not (math.isfinite(duration_s) and duration_s > 0):
         raise ValueError(f"duration_s must be finite and > 0, got {duration_s}")
-    config_a = topology.users[user_a]
-    config_b = topology.users[user_b]
-    if traffic_mbps is not None:
-        config_a = dataclasses.replace(
-            config_a,
-            traffic=dataclasses.replace(config_a.traffic, data_rate_mbps=traffic_mbps),
-        )
-        config_b = dataclasses.replace(
-            config_b,
-            traffic=dataclasses.replace(config_b.traffic, data_rate_mbps=traffic_mbps),
-        )
     plan = SessionPlan(
         topology=topology,
         user_a=user_a,
         user_b=user_b,
-        config_a=config_a,
-        config_b=config_b,
+        config_a=topology.users[user_a],
+        config_b=topology.users[user_b],
         duration_s=float(duration_s),
         seed=int(seed),
     )
@@ -230,17 +213,13 @@ def run_session(plan: SessionPlan) -> tuple[KeyRateReport, SessionArtifacts]:
         records = tagproc.match_coincidences(tags_a, tags_b, offset, match_window)
 
         reject_half_width = topo.coincidence_window_ps // 2
-        if min_delay > 0:
-            filtered = tagproc.temporal_mode_filter(records, min_delay, reject_half_width)
-        else:
-            filtered = records.take(np.abs(records.delta) <= reject_half_width)
+        filtered = tagproc.temporal_mode_filter(records, min_delay, reject_half_width)
         retained = len(filtered) / len(records) if len(records) else 0.0
 
         key = distill.sift(filtered, plan.duration_s)
         report = _key_rate_report(
             plan.config_a,
             plan.config_b,
-            plan.duration_s,
             sifted_bits=len(key),
             sifted_rate=len(key) / plan.duration_s,
             qber=key.qber,
@@ -254,8 +233,6 @@ def run_session(plan: SessionPlan) -> tuple[KeyRateReport, SessionArtifacts]:
             tags_b=tags_b,
             records=records,
             filtered_records=filtered,
-            offset_ps=offset,
-            retained_fraction=retained,
             mode_filter_ambiguous=min_delay <= reject_half_width,
         )
         return report, artifacts
@@ -329,7 +306,6 @@ def predict_key_rates(
     return _key_rate_report(
         config_a,
         config_b,
-        duration_s,
         sifted_bits=max(1, int(round(sifted_rate * duration_s))),
         sifted_rate=sifted_rate,
         qber=qber,
@@ -343,7 +319,6 @@ def predict_key_rates(
 def _key_rate_report(
     config_a: ChannelConfig,
     config_b: ChannelConfig,
-    duration_s: float,
     *,
     sifted_bits: int,
     sifted_rate: float,
@@ -366,7 +341,6 @@ def _key_rate_report(
             config_a.traffic.data_rate_mbps + config_b.traffic.data_rate_mbps
         )
         / 2.0,
-        duration_s=duration_s,
         sifted_bits=sifted_bits,
         sifted_rate=sifted_rate,
         qber=qber,
@@ -375,6 +349,4 @@ def _key_rate_report(
         n_required=n_required,
         retained_fraction=retained_fraction,
         offset_ps=offset_ps,
-        ec_inefficiency=ec_inefficiency,
-        epsilon=epsilon,
     )

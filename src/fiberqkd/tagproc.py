@@ -1,5 +1,5 @@
 """Timetag post-processing: clock-offset recovery, coincidence matching,
-arrival-time mode filtering, and visibility/QBER estimation.
+arrival-time mode filtering, and coincidence CSV I/O.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .receiver import (
 DEFAULT_SEARCH_SPAN_PS = 50_000_000  # +-50 us
 DEFAULT_BIN_WIDTH_PS = 200
 DEFAULT_COINCIDENCE_WINDOW_PS = 2000  # full width
-DEFAULT_REJECT_HALF_WIDTH_PS = 1000
 PEAK_SIGNIFICANCE = 5.0
 
 # Offset recovery needs only enough source tags for a clear peak; capping
@@ -57,31 +56,6 @@ class ModeFilterWarning(UserWarning):
 
 
 @dataclass(eq=False)
-class CorrelationHistogram:
-    """Histogram of B-minus-A time differences.
-
-    Bin k covers [origin + k*w, origin + (k+1)*w); bin centers sit on
-    integer multiples of the bin width, so an exact shift of one stream
-    lands on a bin center.
-    """
-
-    bin_width_ps: int
-    origin_ps: int
-    counts: np.ndarray
-
-    @property
-    def centers_ps(self) -> np.ndarray:
-        half = self.bin_width_ps // 2
-        return (
-            self.origin_ps + half
-            + self.bin_width_ps * np.arange(self.counts.size, dtype=np.int64)
-        )
-
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-
-@dataclass(eq=False)
 class Coincidences:
     """Matched A/B detection pairs. ``delta`` is time_b - time_a - offset;
     ``idx_a``/``idx_b`` index into the source tag streams as int32, so a
@@ -111,24 +85,6 @@ class Coincidences:
             idx_b=self.idx_b[index],
             offset_ps=self.offset_ps,
         )
-
-
-def correlation_histogram(
-    tags_a: TagStream,
-    tags_b: TagStream,
-    search_span_ps: int = DEFAULT_SEARCH_SPAN_PS,
-    bin_width_ps: int = DEFAULT_BIN_WIDTH_PS,
-    max_source_tags: int = DEFAULT_MAX_SOURCE_TAGS,
-) -> CorrelationHistogram:
-    """Count A-B tag pairings per time-difference bin over +-search_span.
-
-    Uses the earliest ``max_source_tags`` A tags against the full B stream.
-    """
-    origin, n_bins = _bin_grid(tags_a, tags_b, search_span_ps, bin_width_ps)
-    w = int(bin_width_ps)
-    counts = np.zeros(n_bins, dtype=np.int64)
-    _add_pairings(counts, tags_a.times_ps[: int(max_source_tags)], tags_b.times_ps, origin, w)
-    return CorrelationHistogram(bin_width_ps=w, origin_ps=origin, counts=counts)
 
 
 def _bin_grid(tags_a, tags_b, search_span_ps, bin_width_ps) -> tuple[int, int]:
@@ -169,38 +125,38 @@ def find_offset(
     tags_b: TagStream,
     search_span_ps: int = DEFAULT_SEARCH_SPAN_PS,
     bin_width_ps: int = DEFAULT_BIN_WIDTH_PS,
-    max_source_tags: int = DEFAULT_MAX_SOURCE_TAGS,
 ) -> int:
     """Recover the B-minus-A clock offset, coarse to fine.
 
-    Coarse: the pairing histogram of ``correlation_histogram`` from the
-    earliest 2**15 A tags (fewer when B is so dense that they would expect
-    over 2**21 pairings), doubled up to ``max_source_tags`` until its
-    fullest bin clears the median floor by 5 sigma and a look-elsewhere
-    bound over all bins; ties go to the smallest absolute offset, then
-    the smallest offset. Fine: a flat-kernel mean shift over the pairings
-    near that bin moves to where a coincidence window holds the most
-    pairings. Returns the center of the half-open bin that holds this
-    point. Raises NoCorrelationPeakError when no bin passes at
-    ``max_source_tags``.
+    Coarse: the histogram of B-minus-A pairing differences over
+    +-search_span, on bins centered on multiples of the bin width, from
+    the earliest 2**15 A tags (fewer when B is so dense that they would
+    expect over 2**21 pairings), doubled up to DEFAULT_MAX_SOURCE_TAGS
+    until its fullest bin clears the median floor by 5 sigma and a
+    look-elsewhere bound over all bins; ties go to the smallest absolute
+    offset, then the smallest offset. Fine: a flat-kernel mean shift over
+    the pairings near that bin moves to where a coincidence window holds
+    the most pairings. Returns the center of the half-open bin that holds
+    this point. Raises NoCorrelationPeakError when no bin passes.
     """
     origin, n_bins = _bin_grid(tags_a, tags_b, search_span_ps, bin_width_ps)
     w = int(bin_width_ps)
-    hist = CorrelationHistogram(w, origin, np.zeros(n_bins, dtype=np.int64))
+    counts = np.zeros(n_bins, dtype=np.int64)
     ta, tb = tags_a.times_ps, tags_b.times_ps
-    cap = min(int(max_source_tags), ta.size)
+    cap = min(DEFAULT_MAX_SOURCE_TAGS, ta.size)
     start = _coarse_start(tb, n_bins * w)
     used = 0
     while True:
         n = min(max(2 * used, start), cap)
-        _add_pairings(hist.counts, ta[used:n], tb, origin, w)
+        _add_pairings(counts, ta[used:n], tb, origin, w)
         used = n
-        shortfall = _peak_shortfall(hist.counts)
+        shortfall = _peak_shortfall(counts)
         if shortfall is None:
             break
         if used == cap:
             raise NoCorrelationPeakError(f"no correlation peak: {shortfall}")
-    centers = hist.centers_ps[hist.counts == hist.counts.max()]
+    # Bin k covers [origin + k*w, origin + (k+1)*w).
+    centers = origin + w // 2 + w * np.flatnonzero(counts == counts.max())
     coarse = int(centers[np.lexsort((centers, np.abs(centers)))[0]])
     return _mean_shift_offset(ta[: max(used, min(_FINE_SOURCE_TAGS, cap))], tb, coarse, w)
 
@@ -404,17 +360,17 @@ def _chained_picks(lo: np.ndarray, hi: np.ndarray, last: int) -> np.ndarray:
 def temporal_mode_filter(
     records: Coincidences,
     mode_delay_ps: int,
-    reject_half_width_ps: int = DEFAULT_REJECT_HALF_WIDTH_PS,
+    reject_half_width_ps: int = DEFAULT_COINCIDENCE_WINDOW_PS // 2,
 ) -> Coincidences:
     """Keep only records with |delta| <= reject_half_width_ps.
 
     Records involving a second-order-mode photon sit at +-mode_delay, so
     retaining the central window removes them whenever the delay exceeds
-    the half width; otherwise the two populations overlap and a
-    ModeFilterWarning is issued.
+    the half width; otherwise, a zero delay included, the two populations
+    overlap and a ModeFilterWarning is issued.
     """
-    if mode_delay_ps <= 0:
-        raise ValueError(f"mode_delay_ps must be > 0, got {mode_delay_ps}")
+    if mode_delay_ps < 0:
+        raise ValueError(f"mode_delay_ps must be >= 0, got {mode_delay_ps}")
     if reject_half_width_ps < 0:
         raise ValueError(
             f"reject_half_width_ps must be >= 0, got {reject_half_width_ps}"
@@ -429,23 +385,6 @@ def temporal_mode_filter(
         )
     keep = np.abs(records.delta) <= reject_half_width_ps
     return records.take(keep)
-
-
-def estimate_visibility_and_qber(records: Coincidences) -> tuple[float, float, int]:
-    """Estimate (visibility, qber, matched_basis_count) from coincidences.
-
-    Only matched-basis records enter the estimate: qber is the discordant
-    fraction and visibility is 1 - 2*qber.
-    """
-    basis_a = records.det_a >> 1
-    basis_b = records.det_b >> 1
-    matched = basis_a == basis_b
-    n_matched = int(matched.sum())
-    if n_matched == 0:
-        raise ValueError("no matched-basis records to estimate from")
-    discordant = (records.det_a & 1) != (records.det_b & 1)
-    qber = float((matched & discordant).sum()) / n_matched
-    return 1.0 - 2.0 * qber, qber, n_matched
 
 
 _COINCIDENCE_FIELDS = ("time_a_ps", "time_b_ps", "det_a", "det_b", "delta_ps")

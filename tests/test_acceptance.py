@@ -19,15 +19,11 @@ from fiberqkd.channel import (
     background_rate_per_detector,
     transmittance,
 )
-from fiberqkd.distill import asymptotic_rate, binary_entropy, finite_key_length
+from fiberqkd.distill import asymptotic_rate, binary_entropy, finite_key_length, sift
 from fiberqkd.netsim import Topology, predict_key_rates, run_session, schedule_session
 from fiberqkd.pairgen import SourceParams
 from fiberqkd.receiver import DetectorParams, apply_dead_time
-from fiberqkd.tagproc import (
-    estimate_visibility_and_qber,
-    find_offset,
-    match_coincidences,
-)
+from fiberqkd.tagproc import find_offset, match_coincidences
 
 
 @contextmanager
@@ -100,11 +96,11 @@ def test_a3_mode_filter_calibration():
             detector=DetectorParams(second_mode_rejection_db=0.0),
         )
         assert len(artifacts.records) >= 2e4
-        v_unfiltered, _, _ = estimate_visibility_and_qber(artifacts.records)
-        v_filtered, _, _ = estimate_visibility_and_qber(artifacts.filtered_records)
+        v_unfiltered = 1 - 2 * sift(artifacts.records).qber
+        v_filtered = 1 - 2 * sift(artifacts.filtered_records).qber
         assert abs(v_unfiltered - 0.62) <= 0.04
         assert v_filtered >= 0.93
-        assert abs(artifacts.retained_fraction - 0.5) <= 0.1
+        assert abs(report.retained_fraction - 0.5) <= 0.1
 
 
 def test_a4_active_matches_dark_across_lengths():

@@ -1,6 +1,9 @@
 import configparser
 import csv
+import os
 import re
+import subprocess
+import sys
 import weakref
 from pathlib import Path
 
@@ -53,7 +56,6 @@ def test_emit_csv_report_row_schema(tmp_path):
     report = KeyRateReport(
         length_km_per_arm=1.0,
         traffic_mbps=10.5,
-        duration_s=30.0,
         sifted_bits=1000,
         sifted_rate=33.3,
         qber=0.025,
@@ -62,8 +64,6 @@ def test_emit_csv_report_row_schema(tmp_path):
         n_required=12345.0,
         retained_fraction=0.55,
         offset_ps=0,
-        ec_inefficiency=1.1,
-        epsilon=1e-10,
     )
     path = emit_csv([report.csv_row()], tmp_path / "reports.csv")
     lines = path.read_text().splitlines()
@@ -280,6 +280,22 @@ pair_rate = 4.0e5
     assert "seed: 77" in summary
 
 
+def test_module_entry_point_runs_without_runtime_warning():
+    # ``python -m fiberqkd.cli`` must not find the module already imported
+    # by the package, which runpy reports as a RuntimeWarning.
+    paths = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    result = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "fiberqkd.cli", "--help"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert "usage: fiberqkd" in result.stdout
+
+
 def test_unwritable_output_dir(tmp_path):
     blocker = tmp_path / "not_a_dir"
     blocker.write_text("occupied")
@@ -361,7 +377,6 @@ def test_sweep_frees_each_session_before_the_next(tmp_path, monkeypatch):
     report = KeyRateReport(
         length_km_per_arm=1.0,
         traffic_mbps=0.0,
-        duration_s=0.5,
         sifted_bits=100,
         sifted_rate=200.0,
         qber=0.03,
@@ -370,8 +385,6 @@ def test_sweep_frees_each_session_before_the_next(tmp_path, monkeypatch):
         n_required=12345.0,
         retained_fraction=0.5,
         offset_ps=0,
-        ec_inefficiency=1.1,
-        epsilon=1e-10,
     )
 
     class Artifacts:

@@ -16,7 +16,7 @@ from fiberqkd.netsim import (
 )
 from fiberqkd.pairgen import SourceParams
 from fiberqkd.receiver import DetectorParams
-from fiberqkd.tagproc import NoCorrelationPeakError
+from fiberqkd.tagproc import ModeFilterWarning, NoCorrelationPeakError
 
 
 def _topology(
@@ -52,16 +52,6 @@ def test_schedule_valid_pair():
     plan = schedule_session(topo, "alice", "bob", duration_s=1.0, seed=1)
     assert plan.user_a == "alice" and plan.user_b == "bob"
     assert plan.config_a is topo.users["alice"]
-    release_session(plan)
-
-
-def test_schedule_traffic_override():
-    topo = _topology(traffic=_active(10.5))
-    plan = schedule_session(topo, "alice", "bob", 1.0, seed=1, traffic_mbps=42.0)
-    assert plan.config_a.traffic.data_rate_mbps == 42.0
-    assert plan.config_b.traffic.data_rate_mbps == 42.0
-    # The topology's own configuration is untouched.
-    assert topo.users["alice"].traffic.data_rate_mbps == 10.5
     release_session(plan)
 
 
@@ -147,6 +137,26 @@ def test_short_arm_qber_band():
         )
     assert artifacts.mode_filter_ambiguous
     assert 0.02 <= report.qber <= 0.06
+
+
+def test_zero_length_arms_filter_with_warning():
+    # With no fiber there is no mode delay: the mode filter warns that it
+    # cannot separate the modes and keeps the central coincidence window.
+    topo = _topology(length_km=0.0, traffic=_dark())
+    with pytest.warns(ModeFilterWarning):
+        report, artifacts = run_session(
+            schedule_session(topo, "alice", "bob", 1.0, seed=5)
+        )
+    records = artifacts.records
+    half = topo.coincidence_window_ps // 2
+    expected = records.take(np.abs(records.delta) <= half)
+    assert len(expected) > 0
+    for name in ("times_a", "times_b", "det_a", "det_b", "delta", "idx_a", "idx_b"):
+        assert np.array_equal(
+            getattr(artifacts.filtered_records, name), getattr(expected, name)
+        )
+    assert artifacts.mode_filter_ambiguous
+    assert report.retained_fraction == len(expected) / len(records)
 
 
 def test_active_and_dark_agree_at_3km():

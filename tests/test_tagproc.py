@@ -16,13 +16,12 @@ from conftest import (
     traced_peak,
 )
 from fiberqkd import receiver, tagproc
+from fiberqkd.distill import sift
 from fiberqkd.receiver import DetectorParams, sample_pair_tags
 from fiberqkd.tagproc import (
     Coincidences,
     ModeFilterWarning,
     NoCorrelationPeakError,
-    correlation_histogram,
-    estimate_visibility_and_qber,
     find_offset,
     match_coincidences,
     read_coincidences,
@@ -56,36 +55,42 @@ def _records(delta, det_a=None, det_b=None):
     )
 
 
+def _pairing_histogram(ta, tb, span, width, max_source_tags=None):
+    """(origin, counts) of find_offset's coarse histogram grid, filled with
+    the pairings of the earliest ``max_source_tags`` A times with every B
+    time. Bin k covers [origin + k*width, origin + (k+1)*width)."""
+    origin, n_bins = tagproc._bin_grid(make_tag_stream(ta), make_tag_stream(tb), span, width)
+    counts = np.zeros(n_bins, dtype=np.int64)
+    tagproc._add_pairings(counts, ta[:max_source_tags], tb, origin, width)
+    return origin, counts
+
+
 def test_histogram_counts_all_pairings(rng):
     # Total histogram mass equals a brute-force count of in-range pairings.
     ta = _poisson_times(rng, 2_000, 0.001)
     tb = _poisson_times(rng, 2_000, 0.001)
     span, width = 100_000, 200
-    hist = correlation_histogram(
-        make_tag_stream(ta), make_tag_stream(tb), span, width
-    )
-    lo = hist.origin_ps
-    hi = hist.origin_ps + hist.counts.size * width
+    origin, counts = _pairing_histogram(ta, tb, span, width)
+    hi = origin + counts.size * width
     brute = sum(
-        1 for a in ta.tolist() for b in tb.tolist() if lo <= b - a < hi
+        1 for a in ta.tolist() for b in tb.tolist() if origin <= b - a < hi
     )
-    assert hist.total() == brute
+    assert int(counts.sum()) == brute
 
 
 def _assert_histogram_equals_brute_force(ta, tb, span, width, max_source_tags):
-    hist = correlation_histogram(
-        make_tag_stream(ta), make_tag_stream(tb), span, width, max_source_tags
-    )
-    n_bins = hist.counts.size
+    origin, counts = _pairing_histogram(ta, tb, span, width, max_source_tags)
+    n_bins = counts.size
     assert n_bins % 2 == 1
-    centers = hist.centers_ps
+    # The bin centers find_offset reads off the grid.
+    centers = origin + width // 2 + width * np.arange(n_bins, dtype=np.int64)
     assert centers[n_bins // 2] == 0 and np.all(np.diff(centers) == width)
-    edges = hist.origin_ps + width * np.arange(n_bins + 1, dtype=np.int64)
+    edges = origin + width * np.arange(n_bins + 1, dtype=np.int64)
     assert edges[0] <= -span and edges[-1] > span
     diffs = (tb[None, :] - ta[:max_source_tags, None]).ravel()
     # np.histogram closes its last bin on the right; these bins are half-open.
     expected, _ = np.histogram(diffs[diffs < edges[-1]], bins=edges)
-    assert np.array_equal(hist.counts, expected)
+    assert np.array_equal(counts, expected)
     return edges
 
 
@@ -609,54 +614,21 @@ def test_mode_filter_subset_and_idempotent(rng):
     assert np.isin(once.idx_a, records.idx_a).all()
 
 
-def test_mode_filter_requires_positive_delay():
+def test_mode_filter_rejects_negative_delay():
     with pytest.raises(ValueError):
-        temporal_mode_filter(_records([0]), mode_delay_ps=0)
+        temporal_mode_filter(_records([0]), mode_delay_ps=-1)
 
 
-def test_visibility_all_concordant():
-    records = _records(np.zeros(100), det_a=np.zeros(100), det_b=np.zeros(100))
-    visibility, qber, n = estimate_visibility_and_qber(records)
-    assert (visibility, qber, n) == (1.0, 0.0, 100)
-
-
-def test_visibility_error_population(rng):
-    # 2.5% discordant matched-basis records give visibility 0.95.
-    n = 40_000
-    errors = rng.random(n) < 0.025
-    det_a = np.zeros(n, dtype=np.int8)
-    det_b = errors.astype(np.int8)  # same basis, flipped bit on error
-    visibility, qber, count = estimate_visibility_and_qber(_records(np.zeros(n), det_a, det_b))
-    sigma = math.sqrt(0.025 * 0.975 / n)
-    assert count == n
-    assert abs(qber - 0.025) < 4 * sigma
-    assert abs(visibility - 0.95) < 8 * sigma
-
-
-def test_visibility_depolarized_limit(rng):
-    n = 40_000
-    det_a = rng.integers(0, 2, size=n).astype(np.int8)
-    det_b = rng.integers(0, 2, size=n).astype(np.int8)
-    visibility, qber, _ = estimate_visibility_and_qber(_records(np.zeros(n), det_a, det_b))
-    sigma = math.sqrt(0.25 / n)
-    assert abs(qber - 0.5) < 4 * sigma
-    assert abs(visibility) < 8 * sigma
-
-
-def test_visibility_excludes_mismatched_bases():
-    # Rows: concordant, discordant, basis mismatch (ignored), concordant.
-    det_a = np.array([0, 0, 2, 2], dtype=np.int8)
-    det_b = np.array([0, 1, 1, 2], dtype=np.int8)
-    visibility, qber, n = estimate_visibility_and_qber(_records(np.zeros(4), det_a, det_b))
-    assert n == 3
-    assert qber == pytest.approx(1 / 3)
-    assert visibility == pytest.approx(1 / 3)
-
-
-def test_visibility_requires_matched_records():
-    records = _records([0, 0], det_a=[0, 1], det_b=[2, 3])
-    with pytest.raises(ValueError):
-        estimate_visibility_and_qber(records)
+def test_mode_filter_zero_delay_warns_and_keeps_central_window(rng):
+    # At zero delay both modes sit at delta 0: the filter cannot separate
+    # them, says so, and still keeps exactly the records with |delta| <= half.
+    delta = rng.integers(-3_000, 3_000, size=2_000).astype(np.int64)
+    records = _records(delta)
+    with pytest.warns(ModeFilterWarning):
+        kept = temporal_mode_filter(records, 0, 1000)
+    inside = np.abs(delta) <= 1000
+    assert np.array_equal(kept.delta, delta[inside])
+    assert np.array_equal(kept.idx_a, records.idx_a[inside])
 
 
 def test_filtered_visibility_never_below_unfiltered(rng):
@@ -677,10 +649,11 @@ def test_filtered_visibility_never_below_unfiltered(rng):
         ]
     )
     records = _records(delta, det_a, det_b)
-    v_unfiltered, _, n_unf = estimate_visibility_and_qber(records)
+    unfiltered = sift(records)
+    v_unfiltered = 1 - 2 * unfiltered.qber
     filtered = temporal_mode_filter(records, 4400, 1000)
-    v_filtered, _, _ = estimate_visibility_and_qber(filtered)
-    assert n_unf >= 10_000
+    v_filtered = 1 - 2 * sift(filtered).qber
+    assert len(unfiltered) >= 10_000
     assert v_filtered >= v_unfiltered
 
 
