@@ -174,26 +174,21 @@ def run_session(plan: SessionPlan) -> tuple[KeyRateReport, SessionArtifacts]:
             qber_drift_per_s=topo.qber_drift_per_s,
         )
 
-        dark_seeds = s_dark.spawn(2)
+        # Background then dark noise, one merge per side.
+        bg_a, bg_b = (
+            chan.background_rate_per_detector(cfg.traffic) for cfg in (plan.config_a, plan.config_b)
+        )
+        dark_cps = topo.detector.dark_cps
+        dark_a, dark_b = s_dark.spawn(2)
         tags_a = receiver.add_noise_tags(
             tags_a,
-            chan.background_rate_per_detector(plan.config_a.traffic),
-            TagOrigin.BACKGROUND,
+            [(bg_a, TagOrigin.BACKGROUND, s_bg_a), (dark_cps, TagOrigin.DARK, dark_a)],
             plan.duration_s,
-            s_bg_a,
         )
         tags_b = receiver.add_noise_tags(
             tags_b,
-            chan.background_rate_per_detector(plan.config_b.traffic),
-            TagOrigin.BACKGROUND,
+            [(bg_b, TagOrigin.BACKGROUND, s_bg_b), (dark_cps, TagOrigin.DARK, dark_b)],
             plan.duration_s,
-            s_bg_b,
-        )
-        tags_a = receiver.add_noise_tags(
-            tags_a, topo.detector.dark_cps, TagOrigin.DARK, plan.duration_s, dark_seeds[0]
-        )
-        tags_b = receiver.add_noise_tags(
-            tags_b, topo.detector.dark_cps, TagOrigin.DARK, plan.duration_s, dark_seeds[1]
         )
         tags_a = receiver.apply_dead_time(tags_a, topo.detector.dead_time_ns)
         tags_b = receiver.apply_dead_time(tags_b, topo.detector.dead_time_ns)

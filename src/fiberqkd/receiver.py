@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -338,50 +339,56 @@ def _sort_fresh(stream: TagStream) -> TagStream:
 
 def add_noise_tags(
     stream: TagStream,
-    rate_cps_per_detector: float,
-    origin: TagOrigin,
+    noise: Sequence[tuple[float, TagOrigin, object]],
     duration_s: float,
-    seed,
 ) -> TagStream:
-    """Merge an independent Poisson click process into the stream.
+    """Merge independent Poisson click processes into the stream in one pass.
 
-    Each of the four detectors receives Poisson(rate * duration) extra tags
-    uniform over [0, duration). The result is sorted by time; tags with
-    equal times keep stream tags first and each group in its own order,
-    as a stable sort of the concatenated streams would.
+    ``noise`` lists the processes as ``(rate_cps_per_detector, origin,
+    seed)``. For each, drawn from its own ``default_rng(seed)``, every one
+    of the four detectors receives Poisson(rate * duration) extra tags
+    uniform over [0, duration); a zero rate draws nothing. The result is
+    sorted by time; tags with equal times come stream first, then each
+    process in list order, each group in its own order, as a stable sort
+    of the concatenated streams would give. Raises ValueError if the
+    stream is not sorted by time.
     """
-    if not (math.isfinite(rate_cps_per_detector) and rate_cps_per_detector >= 0):
-        raise ValueError(
-            f"rate_cps_per_detector must be finite and >= 0, got {rate_cps_per_detector}"
-        )
-    if rate_cps_per_detector == 0:
-        return stream
-    rng = np.random.default_rng(seed)
-    duration_ps = int(round(duration_s * PS_PER_SECOND))
-    counts = rng.poisson(rate_cps_per_detector * duration_s, size=NUM_DETECTORS)
-    total = int(counts.sum())
-    times = rng.integers(0, duration_ps, size=total, dtype=np.int64)
-    detectors = np.repeat(np.arange(NUM_DETECTORS, dtype=np.int8), counts)
-    order = np.argsort(times, kind="stable")
-    times, detectors = times[order], detectors[order]
     if not stream.is_sorted():
-        stream = stream.sorted_by_time()
+        raise ValueError("stream must be sorted by time")
+    duration_ps = int(round(duration_s * PS_PER_SECOND))
+    times, detectors, origins = [], [], []
+    for rate, origin, seed in noise:
+        if not (math.isfinite(rate) and rate >= 0):
+            raise ValueError(f"rate_cps_per_detector must be finite and >= 0, got {rate}")
+        if rate == 0:
+            continue
+        rng = np.random.default_rng(seed)
+        counts = rng.poisson(rate * duration_s, size=NUM_DETECTORS)
+        total = int(counts.sum())
+        times.append(rng.integers(0, duration_ps, size=total, dtype=np.int64))
+        detectors.append(np.repeat(np.arange(NUM_DETECTORS, dtype=np.int8), counts))
+        origins.append(np.full(total, origin, dtype=np.int8))
+    if not times:
+        return stream
+    times, detectors, origins = map(np.concatenate, (times, detectors, origins))
+    order = np.argsort(times, kind="stable")
+    times, detectors, origins = times[order], detectors[order], origins[order]
     # Each noise tag goes after the stream tags at or before its time and
     # after the noise tags sorted ahead of it.
-    at = np.searchsorted(stream.times_ps, times, side="right") + np.arange(total)
-    from_stream = np.ones(len(stream) + total, dtype=bool)
+    at = np.searchsorted(stream.times_ps, times, side="right") + np.arange(times.size)
+    from_stream = np.ones(len(stream) + times.size, dtype=bool)
     from_stream[at] = False
 
-    def merged(ours: np.ndarray, noise) -> np.ndarray:
+    def merged(ours: np.ndarray, drawn) -> np.ndarray:
         out = np.empty(from_stream.size, dtype=ours.dtype)
         out[from_stream] = ours
-        out[at] = noise
+        out[at] = drawn
         return out
 
     return TagStream(
         times_ps=merged(stream.times_ps, times),
         detectors=merged(stream.detectors, detectors),
-        origins=merged(stream.origins, int(origin)),
+        origins=merged(stream.origins, origins),
         pair_ids=merged(stream.pair_ids, -1),
         modes=merged(stream.modes, -1),
     )

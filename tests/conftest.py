@@ -5,8 +5,8 @@ import pytest
 from hypothesis import strategies as st
 
 from fiberqkd.channel import ChannelConfig
-from fiberqkd.pairgen import SourceParams
-from fiberqkd.receiver import TagStream
+from fiberqkd.pairgen import PS_PER_SECOND, SourceParams
+from fiberqkd.receiver import NUM_DETECTORS, TagStream
 
 
 def make_tag_stream(times_ps, detectors=None, origins=None) -> TagStream:
@@ -25,6 +25,52 @@ def make_tag_stream(times_ps, detectors=None, origins=None) -> TagStream:
         modes=np.full(n, -1, dtype=np.int8),
     )
     return stream.sorted_by_time()
+
+
+TAG_COLUMNS = ("times_ps", "detectors", "origins", "pair_ids", "modes")
+
+
+def assert_streams_equal(got: TagStream, want: TagStream) -> None:
+    """Assert that the two streams have equal arrays and dtypes."""
+    for name in TAG_COLUMNS:
+        assert getattr(got, name).dtype == getattr(want, name).dtype, name
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+def noise_merge_reference(stream, noise, duration_s) -> TagStream:
+    """Concatenate the stream and then each ``(rate, origin, seed)``
+    process's noise tags, drawn as ``add_noise_tags`` draws them, in list
+    order, and stable-sort the whole by time."""
+    parts = [stream]
+    duration_ps = int(round(duration_s * PS_PER_SECOND))
+    for rate, origin, seed in noise:
+        rng = np.random.default_rng(seed)
+        counts = rng.poisson(rate * duration_s, size=NUM_DETECTORS)
+        total = int(counts.sum())
+        parts.append(
+            TagStream(
+                times_ps=rng.integers(0, duration_ps, size=total, dtype=np.int64),
+                detectors=np.repeat(np.arange(NUM_DETECTORS, dtype=np.int8), counts),
+                origins=np.full(total, int(origin), dtype=np.int8),
+                pair_ids=np.full(total, -1, dtype=np.int32),
+                modes=np.full(total, -1, dtype=np.int8),
+            )
+        )
+    merged = TagStream(
+        **{name: np.concatenate([getattr(part, name) for part in parts]) for name in TAG_COLUMNS}
+    )
+    return merged.take(np.argsort(merged.times_ps, kind="stable"))
+
+
+def dead_time_reference(times, detectors, dead_ps):
+    """Left-to-right scan oracle for the dead-time rule."""
+    last = {}
+    keep = []
+    for i, (t, d) in enumerate(zip(times, detectors)):
+        if d not in last or t - last[d] >= dead_ps:
+            keep.append(i)
+            last[d] = t
+    return keep
 
 
 def traced_peak(call, *args, **kwargs):

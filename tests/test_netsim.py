@@ -4,7 +4,13 @@ import threading
 import numpy as np
 import pytest
 
-from fiberqkd.channel import ChannelConfig, ClassicalTraffic, TrafficDirection
+from conftest import assert_streams_equal, dead_time_reference, noise_merge_reference
+from fiberqkd.channel import (
+    ChannelConfig,
+    ClassicalTraffic,
+    TrafficDirection,
+    background_rate_per_detector,
+)
 from fiberqkd.netsim import (
     SourceBusyError,
     Topology,
@@ -15,7 +21,8 @@ from fiberqkd.netsim import (
     schedule_session,
 )
 from fiberqkd.pairgen import SourceParams
-from fiberqkd.receiver import DetectorParams
+from fiberqkd import receiver
+from fiberqkd.receiver import DetectorParams, TagOrigin, sample_pair_tags
 from fiberqkd.tagproc import ModeFilterWarning, NoCorrelationPeakError
 
 
@@ -126,6 +133,54 @@ def test_run_session_deterministic():
     assert np.array_equal(art1.filtered_records.delta, art2.filtered_records.delta)
     report3, _ = run_session(schedule_session(topo, "alice", "bob", 2.0, seed=43))
     assert report3 != report1
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+def test_session_streams_equal_oracle_chain(monkeypatch, seed):
+    # The session's streams against a chain rebuilt from the same seed
+    # slots: the sampler, then the concatenate-and-stable-sort merge of
+    # background and dark noise, then the sequential dead-time scan.
+    topo = _topology(length_km=0.25, traffic=_active())
+    duration_s = 0.5
+    plan = schedule_session(topo, "alice", "bob", duration_s, seed=seed)
+    calls = []
+    for name in ("add_noise_tags", "apply_dead_time"):
+        def spy(stream, *args, _name=name, _call=getattr(receiver, name)):
+            calls.append((_name, args))
+            return _call(stream, *args)
+
+        monkeypatch.setattr(receiver, name, spy)
+    with pytest.warns(ModeFilterWarning):
+        _, artifacts = run_session(plan)
+    # One merge per side, then dead time per side. Session streams hardly
+    # ever hold equal times, so the tie order (stream, background, dark)
+    # is pinned here by the order of the processes passed to the merge.
+    assert [name for name, _ in calls] == ["add_noise_tags"] * 2 + ["apply_dead_time"] * 2
+    for _, (noise, _) in calls[:2]:
+        assert [origin for _, origin, _ in noise] == [TagOrigin.BACKGROUND, TagOrigin.DARK]
+
+    seeds = np.random.SeedSequence(seed).spawn(8)
+    dark_seeds = seeds[7].spawn(2)
+    detector = topo.detector
+    arm = topo.users["alice"]
+    pair_tags = sample_pair_tags(topo.source, arm, arm, detector, duration_s, seeds[0])
+    background = background_rate_per_detector(arm.traffic)
+    assert background > 0
+    dead_ps = round(detector.dead_time_ns * 1000)
+    for tags, got, bg_seed, dark_seed in zip(
+        pair_tags, (artifacts.tags_a, artifacts.tags_b), seeds[5:7], dark_seeds
+    ):
+        noise = [
+            (background, TagOrigin.BACKGROUND, bg_seed),
+            (detector.dark_cps, TagOrigin.DARK, dark_seed),
+        ]
+        merged = noise_merge_reference(tags, noise, duration_s)
+        kept = dead_time_reference(merged.times_ps.tolist(), merged.detectors.tolist(), dead_ps)
+        # Noise and dead time both act: some noise tags are kept and some
+        # tags are dropped.
+        assert 0 < len(kept) < len(merged)
+        assert np.count_nonzero(got.origins != TagOrigin.PAIR) > 0
+        assert_streams_equal(got, merged.take(kept))
 
 
 def test_short_arm_qber_band():

@@ -7,10 +7,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import dump_times, make_tag_stream
+from conftest import (
+    assert_streams_equal,
+    dead_time_reference,
+    dump_times,
+    make_tag_stream,
+    noise_merge_reference,
+)
 from fiberqkd.channel import ChannelConfig
 from fiberqkd import receiver
-from fiberqkd.pairgen import PS_PER_SECOND, SourceParams
+from fiberqkd.pairgen import SourceParams
 from fiberqkd.receiver import (
     NUM_DETECTORS,
     DetectorParams,
@@ -151,13 +157,26 @@ def test_drift_raises_error_rate_over_time():
 
 def test_noise_zero_rate_is_identity():
     stream = make_tag_stream([10, 20, 30])
-    assert add_noise_tags(stream, 0.0, TagOrigin.DARK, 1.0, seed=1) is stream
+    assert add_noise_tags(stream, [(0.0, TagOrigin.DARK, 1)], 1.0) is stream
+    zeros = [(0.0, TagOrigin.BACKGROUND, 1), (0.0, TagOrigin.DARK, 2)]
+    assert add_noise_tags(stream, zeros, 1.0) is stream
+    assert add_noise_tags(stream, [], 1.0) is stream
+    # Even processes that draw nothing need a sorted stream.
+    with pytest.raises(ValueError, match="sorted"):
+        add_noise_tags(stream.take([2, 1, 0]), zeros, 1.0)
+
+
+@pytest.mark.parametrize("rate", [-1.0, math.inf, math.nan])
+def test_noise_rejects_bad_rate(rate):
+    stream = make_tag_stream([10, 20, 30])
+    with pytest.raises(ValueError, match="rate_cps_per_detector"):
+        add_noise_tags(stream, [(0.0, TagOrigin.BACKGROUND, 1), (rate, TagOrigin.DARK, 2)], 1.0)
 
 
 def test_noise_counts_per_detector():
     # 500 cps for 10 s: about 5000 tags on each of the four detectors.
     stream = TagStream.empty()
-    noisy = add_noise_tags(stream, 500.0, TagOrigin.BACKGROUND, 10.0, seed=2)
+    noisy = add_noise_tags(stream, [(500.0, TagOrigin.BACKGROUND, 2)], 10.0)
     sigma = math.sqrt(5000)
     for det in range(NUM_DETECTORS):
         count = int(np.count_nonzero(noisy.detectors == det))
@@ -167,31 +186,9 @@ def test_noise_counts_per_detector():
 
 
 def test_dark_counts_mean():
-    noisy = add_noise_tags(TagStream.empty(), 300.0, TagOrigin.DARK, 1.0, seed=3)
+    noisy = add_noise_tags(TagStream.empty(), [(300.0, TagOrigin.DARK, 3)], 1.0)
     sigma = math.sqrt(4 * 300)
     assert abs(len(noisy) - 1200) < 4 * sigma
-
-
-def _noise_merge_reference(stream, rate, origin, duration_s, seed):
-    """Concatenate the noise tags, drawn as ``add_noise_tags`` draws them,
-    to the stream and stable-sort the whole by time."""
-    rng = np.random.default_rng(seed)
-    counts = rng.poisson(rate * duration_s, size=NUM_DETECTORS)
-    total = int(counts.sum())
-    noise = TagStream(
-        times_ps=rng.integers(0, int(round(duration_s * PS_PER_SECOND)), size=total, dtype=np.int64),
-        detectors=np.repeat(np.arange(NUM_DETECTORS, dtype=np.int8), counts),
-        origins=np.full(total, int(origin), dtype=np.int8),
-        pair_ids=np.full(total, -1, dtype=np.int32),
-        modes=np.full(total, -1, dtype=np.int8),
-    )
-    merged = TagStream(
-        **{
-            name: np.concatenate([getattr(stream, name), getattr(noise, name)])
-            for name in ("times_ps", "detectors", "origins", "pair_ids", "modes")
-        }
-    )
-    return merged.take(np.argsort(merged.times_ps, kind="stable"))
 
 
 @pytest.mark.parametrize("seed", [4, 5, 6])
@@ -200,7 +197,7 @@ def test_noise_merge_equals_concat_and_stable_sort(rng, seed):
     # per detector on 50 distinct times, so noise tags tie with each other
     # and, on the same detectors, with the stream's tags at those times.
     duration_s = 50e-12
-    rate = 4e12
+    noise = [(4e12, TagOrigin.BACKGROUND, seed)]
     n = 300
     stream = TagStream(
         times_ps=np.sort(rng.integers(-5, 55, size=n, dtype=np.int64)),
@@ -209,13 +206,54 @@ def test_noise_merge_equals_concat_and_stable_sort(rng, seed):
         pair_ids=np.arange(n, dtype=np.int32),
         modes=rng.integers(0, 2, size=n).astype(np.int8),
     )
-    cases = [stream, TagStream.empty(), stream.take(rng.permutation(n))]
-    for case in cases:
-        got = add_noise_tags(case, rate, TagOrigin.BACKGROUND, duration_s, seed)
-        want = _noise_merge_reference(case, rate, TagOrigin.BACKGROUND, duration_s, seed)
-        for name in ("times_ps", "detectors", "origins", "pair_ids", "modes"):
-            assert getattr(got, name).dtype == getattr(want, name).dtype
-            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    for case in (stream, TagStream.empty()):
+        got = add_noise_tags(case, noise, duration_s)
+        assert_streams_equal(got, noise_merge_reference(case, noise, duration_s))
+    with pytest.raises(ValueError, match="sorted"):
+        add_noise_tags(stream.take(rng.permutation(n)), noise, duration_s)
+
+
+# Noise processes for the one-merge property: rates of 0 (no draws), 1e12
+# and 4e12 cps per detector over 50 ps, so the drawn tags tie with each
+# other, across processes and with the stream's tags.
+_noise_processes = st.lists(
+    st.tuples(
+        st.sampled_from([0.0, 1e12, 4e12]),
+        st.sampled_from([TagOrigin.BACKGROUND, TagOrigin.DARK]),
+        st.integers(0, 2**32 - 1),
+    ),
+    min_size=1,
+    max_size=3,
+)
+_stream_tags = st.lists(
+    st.tuples(st.integers(-5, 55), st.integers(0, NUM_DETECTORS - 1), st.integers(0, 1)),
+    max_size=120,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_stream_tags, _noise_processes)
+@example([], [(4e12, TagOrigin.BACKGROUND, 1), (4e12, TagOrigin.DARK, 2)])
+@example([(0, 0, 0)] * 5, [(0.0, TagOrigin.BACKGROUND, 1), (4e12, TagOrigin.DARK, 2)])
+@example(
+    [(t, 1, 0) for t in range(50)],
+    [(4e12, TagOrigin.DARK, 7), (4e12, TagOrigin.DARK, 8), (1e12, TagOrigin.BACKGROUND, 9)],
+)
+def test_noise_merge_equals_reference_property(tags, noise):
+    duration_s = 50e-12
+    tags = sorted(tags, key=lambda tag: tag[0])
+    n = len(tags)
+    stream = TagStream(
+        times_ps=np.array([t for t, _, _ in tags], dtype=np.int64),
+        detectors=np.array([d for _, d, _ in tags], dtype=np.int8),
+        origins=np.zeros(n, dtype=np.int8),
+        pair_ids=np.arange(n, dtype=np.int32),
+        modes=np.array([m for _, _, m in tags], dtype=np.int8),
+    )
+    got = add_noise_tags(stream, noise, duration_s)
+    assert_streams_equal(got, noise_merge_reference(stream, noise, duration_s))
+    if all(rate == 0 for rate, _, _ in noise):
+        assert got is stream
 
 
 def test_singles_budget_by_origin():
@@ -224,8 +262,8 @@ def test_singles_budget_by_origin():
     det = DetectorParams(efficiency=0.5, jitter_sigma_ps=0.0)
     duration = 0.1
     tags, _ = detect_pairs(transits, transits, 0.95, det, det, seed=9)
-    tags = add_noise_tags(tags, 500.0, TagOrigin.BACKGROUND, duration, seed=10)
-    tags = add_noise_tags(tags, 300.0, TagOrigin.DARK, duration, seed=11)
+    noise = [(500.0, TagOrigin.BACKGROUND, 10), (300.0, TagOrigin.DARK, 11)]
+    tags = add_noise_tags(tags, noise, duration)
     expected = {
         int(TagOrigin.PAIR): 100_000 * 0.5 / NUM_DETECTORS,
         int(TagOrigin.BACKGROUND): 500.0 * duration,
@@ -236,17 +274,6 @@ def test_singles_budget_by_origin():
         for origin, mean in expected.items():
             count = int(np.count_nonzero(on_det & (tags.origins == origin)))
             assert abs(count - mean) < 4 * math.sqrt(mean) + 4
-
-
-def _dead_time_reference(times, detectors, dead_ps):
-    """Left-to-right scan oracle for the dead-time rule."""
-    last = {}
-    keep = []
-    for i, (t, d) in enumerate(zip(times, detectors)):
-        if d not in last or t - last[d] >= dead_ps:
-            keep.append(i)
-            last[d] = t
-    return keep
 
 
 def test_dead_time_zero_is_identity():
@@ -275,7 +302,7 @@ def test_dead_time_matches_sequential_oracle(rng):
         stream = make_tag_stream(times, detectors)
         dead_ns = float(rng.integers(1, 200))
         kept = apply_dead_time(stream, dead_ns)
-        ref = _dead_time_reference(
+        ref = dead_time_reference(
             stream.times_ps.tolist(), stream.detectors.tolist(), round(dead_ns * 1000)
         )
         assert kept.times_ps.tolist() == stream.times_ps[ref].tolist()
@@ -315,7 +342,7 @@ def test_dead_time_equals_sequential_oracle_property(case):
         modes=np.zeros(n, dtype=np.int8),
     )
     kept = apply_dead_time(stream, dead_ns)
-    expected = _dead_time_reference(times.tolist(), detectors, round(dead_ns * 1000))
+    expected = dead_time_reference(times.tolist(), detectors, round(dead_ns * 1000))
     assert kept.pair_ids.tolist() == expected
     assert np.array_equal(kept.times_ps, times[expected])
     assert np.array_equal(kept.detectors, stream.detectors[expected])
