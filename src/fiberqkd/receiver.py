@@ -294,8 +294,8 @@ def _draw_outcomes(rng, source, budget, p, emitted, qber_drift_per_s):
     return (idx_a, idx_b), second, (2 * basis_a + bit_a, 2 * basis_b + bit_b)
 
 
-# Elements per chunk of the sampler's scratch work: the class uniforms and
-# the sort's displacement pass need no array as long as the session.
+# Elements per chunk of the class draw's uniforms, so that they need no
+# array as long as the session.
 _SCRATCH_CHUNK = 1 << 16
 
 
@@ -321,20 +321,59 @@ def _draw_classes(rng: np.random.Generator, p: np.ndarray, n: int) -> np.ndarray
 
 def _sort_fresh(stream: TagStream) -> TagStream:
     """Sort ``stream`` by time in place, as a stable argsort would. Only the
-    tags out of place are rewritten, so the arrays must be its own."""
-    shift = np.argsort(stream.times_ps, kind="stable")
-    # shift[i] becomes order[i] - i, the distance the tag now at i moved.
-    for start in range(0, shift.size, _SCRATCH_CHUNK):
-        chunk = shift[start : start + _SCRATCH_CHUNK]
-        chunk -= np.arange(start, start + chunk.size)
-    moved = np.flatnonzero(shift)
-    source = shift[moved] + moved
-    del shift
+    tags near a descent are rewritten, so the arrays must be its own.
+
+    A descent is a tag later than the tag after it; between descents the
+    times run in order. Wherever no tag before a point is later than a tag
+    after it, the stream splits into segments that sort apart, and only
+    the segments that hold a descent need sorting. A descent's segment
+    reaches back over the tags of the run before it that are later than
+    the earliest tag of any later run, and on over the tags of the run
+    after it that are earlier than the latest tag of any earlier run. All
+    these segments are gathered and stable-sorted together, since no tag
+    of one is later than a tag of a segment after it.
+    """
+    times = stream.times_ps
+    descents = np.flatnonzero(times[1:] < times[:-1])
+    if descents.size == 0:
+        return stream
+    starts = np.concatenate(([0], descents + 1))
+    ends = np.concatenate((descents + 1, [times.size]))
+    # For the runs after the first: the latest time of the runs before.
+    latest_before = np.maximum.accumulate(times[descents])
+    # For the runs before the last: the earliest time of the runs after.
+    earliest_after = np.minimum.accumulate(times[descents[::-1] + 1])[::-1]
+    # The tags of descent i's segment run from first[i] in the run before
+    # it to last[i] in the run after, cut where the next segment begins.
+    first = _run_search(times, starts[:-1], ends[:-1], earliest_after, "right")
+    last = _run_search(times, starts[1:], ends[1:], latest_before, "left")
+    np.minimum(last[:-1], first[1:], out=last[:-1])
+    sizes = last - first
+    at = np.repeat(first - (np.cumsum(sizes) - sizes), sizes)
+    at += np.arange(at.size)
+    source = at[np.argsort(times[at], kind="stable")]
     for column in (
         stream.times_ps, stream.detectors, stream.origins, stream.pair_ids, stream.modes
     ):
-        column[moved] = column[source]
+        column[at] = column[source]
     return stream
+
+
+def _run_search(times, starts, ends, values, side: str) -> np.ndarray:
+    """``starts + np.searchsorted(times[starts:ends], values, side)`` for
+    each run of ``times`` between ``starts`` and ``ends``, in order, as one
+    bisection over all the runs together."""
+    lo, hi = starts.copy(), ends.copy()
+    while True:
+        active = lo < hi
+        if not active.any():
+            return lo
+        mid = (lo + hi) // 2
+        probe = times[np.where(active, mid, 0)]
+        below = probe <= values if side == "right" else probe < values
+        below &= active
+        lo = np.where(below, mid + 1, lo)
+        hi = np.where(active & ~below, mid, hi)
 
 
 def add_noise_tags(
@@ -371,8 +410,13 @@ def add_noise_tags(
     if not times:
         return stream
     times, detectors, origins = map(np.concatenate, (times, detectors, origins))
-    order = np.argsort(times, kind="stable")
-    times, detectors, origins = times[order], detectors[order], origins[order]
+    order = np.argsort(times)
+    times = times[order]
+    # Restore the drawn order among equal times, as a stable sort gives.
+    tied = _chained_runs(times[1:] == times[:-1])
+    ties = order[tied]
+    order[tied] = ties[np.lexsort((ties, times[tied]))]
+    detectors, origins = detectors[order], origins[order]
     # Each noise tag goes after the stream tags at or before its time and
     # after the noise tags sorted ahead of it.
     at = np.searchsorted(stream.times_ps, times, side="right") + np.arange(times.size)

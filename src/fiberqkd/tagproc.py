@@ -29,7 +29,9 @@ PEAK_SIGNIFICANCE = 5.0
 # Offset recovery needs only enough source tags for a clear peak; capping
 # them keeps the pairing histogram cheap on multi-megatag streams.
 DEFAULT_MAX_SOURCE_TAGS = 1_000_000
-_PAIRING_CHUNK = 1 << 22
+# Pairings per chunk of the offset histogram, which bounds its scratch; A
+# tags are ranked an eighth of this many at a time.
+_PAIRING_CHUNK = 1 << 18
 # The coarse offset search starts from this many A tags and doubles them,
 # halving the start while it would expect more than _COARSE_PAIRINGS
 # pairings, so that a bright B stream does not make the first step dear.
@@ -44,6 +46,8 @@ _FINE_MARGIN_PS = 2000
 _FINE_SOURCE_TAGS = 1 << 18
 # A tags per chunk of the coincidence match, which bounds its scratch.
 _MATCH_CHUNK = 1 << 16
+# Keys per merge of ``_rank``, which bounds its scratch.
+_RANK_CHUNK = 1 << 13
 
 
 class NoCorrelationPeakError(RuntimeError):
@@ -101,23 +105,66 @@ def _bin_grid(tags_a, tags_b, search_span_ps, bin_width_ps) -> tuple[int, int]:
 
 def _add_pairings(counts, ta, tb, origin, w) -> None:
     """Add to ``counts`` the pairings of A times ``ta`` with B times ``tb``,
-    binned by width ``w`` from ``origin``, a chunk of A tags at a time."""
-    hi_edge = origin + counts.size * w
+    binned by width ``w`` from ``origin``."""
+    for diffs in _pairing_differences(ta, tb, origin, origin + counts.size * w):
+        diffs -= origin
+        diffs //= w
+        counts += np.bincount(diffs, minlength=counts.size)
+
+
+def _pairing_differences(ta, tb, lo_edge, hi_edge):
+    """Yield the B-minus-A difference d of every pairing with lo_edge <= d <
+    hi_edge, A tag by A tag, in arrays of at most _PAIRING_CHUNK pairings;
+    an A tag with more pairings than that comes in an array of its own.
+
+    Both ends of each A tag's pairings are ranks in ``tb``, found by
+    merging the sorted A times with B, _PAIRING_CHUNK // 8 A tags at a time.
+    """
     step = _PAIRING_CHUNK // 8
     for start in range(0, ta.size, step):
-        diffs = _pairing_differences(ta[start : start + step], tb, origin, hi_edge)
-        counts += np.bincount((diffs - origin) // w, minlength=counts.size)
+        part = ta[start : start + step]
+        left = _rank(tb, part + lo_edge)
+        per_a = _rank(tb, part + hi_edge)
+        per_a -= left
+        ends = np.cumsum(per_a)
+        first = 0
+        while first < part.size:
+            done = int(ends[first - 1]) if first else 0
+            stop = int(np.searchsorted(ends, done + _PAIRING_CHUNK, side="right"))
+            stop = max(stop, first + 1)
+            n = per_a[first:stop]
+            # Flat index into tb of every pairing, A tag by A tag.
+            flat = np.repeat(left[first:stop] - (ends[first:stop] - done - n), n)
+            flat += np.arange(flat.size)
+            diffs = tb[flat]
+            del flat
+            diffs -= np.repeat(part[first:stop], n)
+            yield diffs
+            first = stop
 
 
-def _pairing_differences(ta, tb, lo_edge, hi_edge) -> np.ndarray:
-    """B-minus-A difference d of every pairing with lo_edge <= d < hi_edge."""
-    left = np.searchsorted(tb, ta + lo_edge, side="left")
-    right = np.searchsorted(tb, ta + hi_edge, side="left")
-    per_a = right - left
-    # Flat index into tb of every pairing, A tag by A tag.
-    flat = np.arange(int(per_a.sum()), dtype=np.int64)
-    flat += np.repeat(left - (np.cumsum(per_a) - per_a), per_a)
-    return tb[flat] - np.repeat(ta, per_a)
+def _rank(tb: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(tb, keys, side="left")`` for sorted ``keys``.
+
+    Each block of _RANK_CHUNK keys is merged with the slice of ``tb``
+    between the ranks of its first and last key, by a stable argsort of
+    the keys followed by that slice: the sort finds the two sorted runs
+    and merges them, and a key goes ahead of an equal B time. The k-th key
+    of a block has as many B times ahead of it as its place in the merge
+    minus k.
+    """
+    ranks = np.empty(keys.size, dtype=np.intp)
+    for start in range(0, keys.size, _RANK_CHUNK):
+        block = keys[start : start + _RANK_CHUNK]
+        first = int(np.searchsorted(tb, block[0], side="left"))
+        last = int(np.searchsorted(tb, block[-1], side="left"))
+        merged = np.argsort(np.concatenate((block, tb[first:last])), kind="stable")
+        at = np.flatnonzero(merged < block.size)
+        del merged
+        at -= np.arange(block.size)
+        at += first
+        ranks[start : start + block.size] = at
+    return ranks
 
 
 def find_offset(
@@ -137,9 +184,12 @@ def find_offset(
     offset, then the smallest offset. Fine: a flat-kernel mean shift over
     the pairings near that bin moves to where a coincidence window holds
     the most pairings. Returns the center of the half-open bin that holds
-    this point. Raises NoCorrelationPeakError when no bin passes.
+    this point. Raises NoCorrelationPeakError when no bin passes, and
+    ValueError when a stream is not sorted by time.
     """
     origin, n_bins = _bin_grid(tags_a, tags_b, search_span_ps, bin_width_ps)
+    if not tags_a.is_sorted() or not tags_b.is_sorted():
+        raise ValueError("tag streams must be sorted by time")
     w = int(bin_width_ps)
     counts = np.zeros(n_bins, dtype=np.int64)
     ta, tb = tags_a.times_ps, tags_b.times_ps
@@ -208,7 +258,8 @@ def _mean_shift_offset(ta, tb, coarse_ps: int, w: int) -> int:
     """
     half = DEFAULT_COINCIDENCE_WINDOW_PS // 2
     reach = half + _FINE_MARGIN_PS
-    diffs = np.sort(_pairing_differences(ta, tb, coarse_ps - reach, coarse_ps + reach + 1))
+    chunks = _pairing_differences(ta, tb, coarse_ps - reach, coarse_ps + reach + 1)
+    diffs = np.sort(np.concatenate(list(chunks)))
     sums = np.concatenate(([0], np.cumsum(diffs)))
     # c = total / n, kept as two integers so that every step is exact.
     total, n = coarse_ps, 1
@@ -238,15 +289,15 @@ def match_coincidences(
     window width. Each stream may hold at most 2**31 - 1 tags, since the
     returned indices are int32.
 
-    Each A tag's window is a range [lo, hi) of B indices, found by binary
-    search. A tag whose range starts at or after the end of its
-    predecessor's range shares no candidate with any earlier tag and takes
-    B tag ``lo`` when the range is not empty. Only runs of "chained" tags,
-    whose ranges overlap their predecessor's, need the sequential rule
-    pick = max(lo, last matched pick + 1), which ``_chained_picks`` applies
-    in order. A is walked ``_MATCH_CHUNK`` tags at a time, so the ranges
-    need no array as long as A; the last matched pick carries a run
-    across a chunk boundary.
+    Each A tag's window is a range [lo, hi) of B indices, whose starts come
+    from merging the sorted A times with B. A tag whose range starts at or
+    after the end of its predecessor's range shares no candidate with any
+    earlier tag and takes B tag ``lo`` when the range is not empty. Only
+    runs of "chained" tags, whose ranges overlap their predecessor's, need
+    the sequential rule pick = max(lo, last matched pick + 1), which
+    ``_chained_picks`` applies in order. A is walked ``_MATCH_CHUNK`` tags
+    at a time, so the ranges need no array as long as A; the last matched
+    pick carries a run across a chunk boundary.
     """
     if window_ps < 0:
         raise ValueError(f"window_ps must be >= 0, got {window_ps}")
@@ -314,13 +365,14 @@ def _window_ranges(ta, tb, lower, upper) -> tuple[np.ndarray, np.ndarray]:
     """For each A tag, the range [lo, hi) of B indices with
     ta + lower <= tb <= ta + upper.
 
-    The starts come from a binary search. Nearly every window holds at
-    most one B tag, so each end is stepped from its start over up to two
-    B tags, and only windows that hold a second one get a binary search.
-    The search keys' buffer is reused for the gaps and then the ends.
+    The starts are ranks of the lower edges in ``tb``, found by merging
+    (``_rank``). Nearly every window holds at most one B tag, so each end
+    is stepped from its start over up to two B tags, and only windows that
+    hold a second one get a binary search. The lower edges' buffer is
+    reused for the gaps and then the ends.
     """
     buffer = ta + lower
-    lo = np.searchsorted(tb, buffer, side="left")
+    lo = _rank(tb, buffer)
     if tb.size == 0:
         return lo, lo.copy()
     # B tag lo + k is in the window when it exists and its gap to the A tag

@@ -16,7 +16,9 @@ from conftest import (
     traced_peak,
 )
 from fiberqkd import receiver, tagproc
+from fiberqkd.channel import ChannelConfig
 from fiberqkd.distill import sift
+from fiberqkd.pairgen import SourceParams
 from fiberqkd.receiver import DetectorParams, sample_pair_tags
 from fiberqkd.tagproc import (
     Coincidences,
@@ -113,6 +115,57 @@ def test_histogram_bins_equal_brute_force(monkeypatch, rng, width, chunk_tags):
     _assert_histogram_equals_brute_force(ta, tb, 600, width, 3)
 
 
+_INT64 = np.iinfo(np.int64)
+
+
+@st.composite
+def _rank_case(draw):
+    """Sorted B times and sorted keys. Keys are often B times themselves
+    and repeat; they reach below and above every B time, and now and then
+    B or the keys hold the int64 extremes."""
+    small = st.integers(-40, 40)
+    times = st.one_of(small, small, small, st.integers(_INT64.min, _INT64.max))
+    tb = draw(st.lists(times, max_size=50))
+    keys = st.integers(-60, 60)
+    if tb:
+        keys = st.one_of(keys, st.sampled_from(tb))
+    return sorted(tb), sorted(draw(st.lists(st.one_of(keys, times), max_size=50)))
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 5, tagproc._RANK_CHUNK])
+@settings(max_examples=200, deadline=None)
+@given(case=_rank_case())
+@example(case=([], []))
+@example(case=([], [-3, 0, 0, 4]))
+@example(case=([-2, 0, 0, 7], []))
+@example(case=([0, 1, 1, 2], [1, 1, 1]))
+@example(case=([5, 6, 7], [-9, -8, 1, 2]))
+@example(case=([5, 6, 7], [8, 8, 100]))
+@example(case=([_INT64.min, 0, _INT64.max], [_INT64.min, _INT64.min, 0, _INT64.max]))
+def test_rank_equals_searchsorted_property(chunk, case):
+    # The merge gives numpy's left-side binary search for sorted keys, one
+    # block of keys at a time.
+    tb, keys = (np.array(values, dtype=np.int64) for values in case)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tagproc, "_RANK_CHUNK", chunk)
+        ranks = tagproc._rank(tb, keys)
+    assert ranks.dtype == np.intp
+    assert np.array_equal(ranks, np.searchsorted(tb, keys, side="left"))
+
+
+def test_rank_equals_searchsorted_at_dense_size():
+    # The matcher's window starts at about 0.22 M tags per side: keys and B
+    # times interleave, and blocks of keys end inside runs of B times.
+    tags_a, tags_b = sample_pair_tags(
+        DENSE_SOURCE, DENSE_ARM, DENSE_ARM, DetectorParams(), 2.0, seed=3
+    )
+    tb = tags_b.times_ps
+    for lower in (-6_000, 0, 1):
+        keys = tags_a.times_ps + lower
+        assert keys.size > 20 * tagproc._RANK_CHUNK
+        assert np.array_equal(tagproc._rank(tb, keys), np.searchsorted(tb, keys, side="left"))
+
+
 def test_find_offset_exact_for_shifted_stream(rng):
     times = _poisson_times(rng, 50_000)
     tags_a = make_tag_stream(times)
@@ -176,6 +229,17 @@ def test_find_offset_independent_session_rate_streams_raise(rng):
     tags_b = make_tag_stream(_poisson_times(rng, 170_000, 4.5))
     with pytest.raises(NoCorrelationPeakError, match="chance bound"):
         find_offset(tags_a, tags_b)
+
+
+@pytest.mark.parametrize("side", [0, 1])
+def test_find_offset_rejects_unsorted(rng, side):
+    # Out of order A times would give wrong merge ranks, and out of order B
+    # times a flat pairing index of billions of entries; both raise instead.
+    times = _poisson_times(rng, 50_000)
+    streams = [make_tag_stream(times), make_tag_stream(times + 5_000_000)]
+    streams[side] = streams[side].take(rng.permutation(times.size))
+    with pytest.raises(ValueError, match="sorted"):
+        find_offset(*streams)
 
 
 def test_find_offset_no_pairing_in_span_raises():
@@ -311,6 +375,32 @@ def test_find_offset_starts_from_fewer_source_tags_on_a_bright_stream(monkeypatc
     searched.clear()
     assert find_offset(tags_a, tags_b) == offset
     assert searched[0] == 32_768
+
+
+def test_find_offset_peak_memory_bounded_by_pairing_chunks():
+    # The sparse session's arms and rate (4 km, 4e6 pairs/s, efficiency 1)
+    # over 1 s: 0.17 M tags per side and about 17 pairings per A tag in the
+    # +-50 us span. The histogram is filled a chunk of pairings at a time,
+    # so the scratch beyond the counts and one chunk's bincount stays
+    # below one int64 array of the first coarse step's pairings.
+    arm = ChannelConfig(length_km=4.0)
+    tags_a, tags_b = sample_pair_tags(
+        SourceParams(pair_rate=4e6), arm, arm, DetectorParams(efficiency=1.0), 1.0, seed=3
+    )
+    offset, peak = traced_peak(find_offset, tags_a, tags_b)
+    assert offset == 0
+    ta, tb = tags_a.times_ps, tags_b.times_ps
+    origin, n_bins = tagproc._bin_grid(tags_a, tags_b, tagproc.DEFAULT_SEARCH_SPAN_PS, 200)
+    first_step = ta[: tagproc._coarse_start(tb, n_bins * 200)]
+    pairings = int(
+        np.sum(
+            np.searchsorted(tb, first_step + origin + n_bins * 200)
+            - np.searchsorted(tb, first_step + origin)
+        )
+    )
+    assert pairings > 2 * tagproc._PAIRING_CHUNK
+    scratch = peak - 2 * 8 * n_bins
+    assert scratch <= 8 * pairings, f"scratch {scratch / (8 * pairings):.2f} x the pairings"
 
 
 def test_match_disjoint_ranges_empty(rng):
