@@ -84,7 +84,7 @@ class ExperimentConfig:
             raise ValueError("empty traffic list for scenario 'traffic_sweep'")
 
     def resolved_lengths_km(self) -> list[float]:
-        if self.lengths_km:
+        if self.lengths_km is not None:
             return list(self.lengths_km)
         if self.scenario == "length_sweep":
             return list(LENGTH_SWEEP_KM)
@@ -183,6 +183,17 @@ def load_config(path=None) -> ExperimentConfig:
     with _located(path, "source"):
         SourceParams(config.pair_rate, config.intrinsic_visibility)
         SourceParams(config.extrapolation_pair_rate, config.intrinsic_visibility)
+    with _located(path, "analysis"):
+        if config.coincidence_window_ps < 0:
+            raise ValueError(
+                f"coincidence_window_ps must be >= 0, got {config.coincidence_window_ps}"
+            )
+        if not (math.isfinite(config.ec_inefficiency) and config.ec_inefficiency >= 1.0):
+            raise ValueError(
+                f"error_correction_inefficiency must be >= 1, got {config.ec_inefficiency}"
+            )
+        if not (0.0 < config.epsilon < 1.0):
+            raise ValueError(f"security_epsilon must be in (0, 1), got {config.epsilon}")
     return config
 
 

@@ -289,15 +289,16 @@ def match_coincidences(
     window width. Each stream may hold at most 2**31 - 1 tags, since the
     returned indices are int32.
 
-    Each A tag's window is a range [lo, hi) of B indices, whose starts come
-    from merging the sorted A times with B. A tag whose range starts at or
-    after the end of its predecessor's range shares no candidate with any
-    earlier tag and takes B tag ``lo`` when the range is not empty. Only
-    runs of "chained" tags, whose ranges overlap their predecessor's, need
-    the sequential rule pick = max(lo, last matched pick + 1), which
+    An A tag's first candidate is the first B tag at or past its window's
+    lower edge, found by merging the sorted A times with B. A tag is
+    chained to its predecessor when its first candidate lies in the
+    predecessor's window. A tag that is not chained shares no candidate
+    with any earlier tag, so it is matched to its first candidate when that
+    lies in its own window. Only runs of chained tags need the sequential
+    rule pick = max(first candidate, last matched pick + 1), which
     ``_chained_picks`` applies in order. A is walked ``_MATCH_CHUNK`` tags
-    at a time, so the ranges need no array as long as A; the last matched
-    pick carries a run across a chunk boundary.
+    at a time, so no array is as long as A; the last matched pick carries a
+    run across a chunk boundary.
     """
     if window_ps < 0:
         raise ValueError(f"window_ps must be >= 0, got {window_ps}")
@@ -318,7 +319,8 @@ def match_coincidences(
     lower, upper = offset - half, offset + half
     picks_a, picks_b = [np.empty(0, dtype=np.int32)], [np.empty(0, dtype=np.int32)]
     last = -1
-    for start in range(0, ta.size, _MATCH_CHUNK):
+    # With no B tag, no A tag has a candidate and no chunk runs.
+    for start in range(0, ta.size if tb.size else 0, _MATCH_CHUNK):
         ia, ib, last = _match_chunk(ta[start : start + _MATCH_CHUNK], tb, lower, upper, last)
         ia += start
         picks_a.append(ia)
@@ -346,67 +348,47 @@ def match_coincidences(
 def _match_chunk(ta, tb, lower, upper, last: int) -> tuple[np.ndarray, np.ndarray, int]:
     """The matched A tags of the chunk ``ta`` as int32 indices into it, their
     B picks as int32, and the last matched pick, given the last one
-    ``last`` before the chunk."""
-    lo, hi = _window_ranges(ta, tb, lower, upper)
+    ``last`` before the chunk. ``tb`` holds at least one tag."""
+    pick = _rank(tb, ta + lower)
     # The chunk's first tag may be chained to the previous chunk's last
-    # one; if it is not, its lo is already past every earlier pick.
-    lo[0] = max(lo[0], last + 1)
-    # A run of chained tags starts at the tag before its first one.
-    run = _chained_runs(lo[1:] < hi[:-1])
-    # From here lo holds each A tag's pick, a match when below hi.
-    lo[run] = _chained_picks(lo[run], hi[run], last)
-    matched = np.flatnonzero(lo < hi)
+    # one; if it is not, its first candidate is already past every earlier
+    # pick.
+    pick[0] = max(pick[0], last + 1)
+    # Tag i + 1 is chained to tag i when its first candidate lies in tag
+    # i's window; a run of chained tags starts at the tag before its first.
+    run = _chained_runs(_in_window(tb, pick[1:], ta[:-1], upper))
+    pick[run] = _chained_picks(pick[run], ta[run], tb, upper, last)
+    matched = np.flatnonzero(_in_window(tb, pick, ta, upper))
     if matched.size:
-        last = int(lo[matched[-1]])
-    return matched.astype(np.int32), lo[matched].astype(np.int32), last
+        last = int(pick[matched[-1]])
+    return matched.astype(np.int32), pick[matched].astype(np.int32), last
 
 
-def _window_ranges(ta, tb, lower, upper) -> tuple[np.ndarray, np.ndarray]:
-    """For each A tag, the range [lo, hi) of B indices with
-    ta + lower <= tb <= ta + upper.
-
-    The starts are ranks of the lower edges in ``tb``, found by merging
-    (``_rank``). Nearly every window holds at most one B tag, so each end
-    is stepped from its start over up to two B tags, and only windows that
-    hold a second one get a binary search. The lower edges' buffer is
-    reused for the gaps and then the ends.
-    """
-    buffer = ta + lower
-    lo = _rank(tb, buffer)
-    if tb.size == 0:
-        return lo, lo.copy()
-    # B tag lo + k is in the window when it exists and its gap to the A tag
-    # is at most the upper edge; tb[lo] is at or past the lower edge. lo is
-    # shifted in place and back, so that no index array is copied.
-    holds = []
-    for k in (0, 1):
-        lo += k
-        gap = tb.take(lo, mode="clip", out=buffer)
-        lo -= k
-        gap -= ta
-        held = gap <= upper
-        held &= lo < tb.size - k
-        holds.append(held)
-    hi = np.add(lo, holds[0], out=buffer)
-    crowded = np.flatnonzero(holds[1])
-    hi[crowded] = np.searchsorted(tb, ta[crowded] + upper, side="right")
-    return lo, hi
+def _in_window(tb, pick, ta, upper) -> np.ndarray:
+    """Whether each B index ``pick`` names a B tag at most ``upper`` after
+    its A time ``ta``."""
+    gap = tb.take(pick, mode="clip")
+    gap -= ta
+    inside = gap <= upper
+    inside &= pick < tb.size
+    return inside
 
 
-def _chained_picks(lo: np.ndarray, hi: np.ndarray, last: int) -> np.ndarray:
+def _chained_picks(first: np.ndarray, ta: np.ndarray, tb, upper, last: int) -> np.ndarray:
     """The B index each A tag of the given runs picks under the greedy rule
-    pick = max(lo, last matched pick + 1), starting from the matched pick
-    ``last`` of the tags before them; the tag is matched when its pick is
-    below its hi. No tag of an earlier run can raise a pick, because its
-    matched pick lies below the next run's first lo.
+    pick = max(first candidate, last matched pick + 1), starting from the
+    matched pick ``last`` of the tags before them; the tag is matched when
+    its pick is a B tag at most ``upper`` after it. No tag of an earlier run
+    can raise a pick, because its matched pick lies below the next run's
+    first candidate.
     """
     picks = []
-    for first, end in zip(lo.tolist(), hi.tolist()):
-        pick = first if first > last else last + 1
+    for candidate, time in zip(first.tolist(), ta.tolist()):
+        pick = candidate if candidate > last else last + 1
         picks.append(pick)
-        if pick < end:
+        if pick < tb.size and tb[pick] - time <= upper:
             last = pick
-    return np.array(picks, dtype=lo.dtype)
+    return np.array(picks, dtype=first.dtype)
 
 
 def temporal_mode_filter(

@@ -167,6 +167,10 @@ def test_config_validation():
         _fast_config(repetitions=0).validate()
     with pytest.raises(ValueError):
         _fast_config(scenario="traffic_sweep", traffics_mbps=[]).validate()
+    # An empty list, as from an INI line "lengths_km =", is no request
+    # for the defaults.
+    with pytest.raises(ValueError, match="empty length list"):
+        _fast_config(scenario="length_sweep", lengths_km=[]).validate()
 
 
 def test_single_run_outputs_and_determinism(tmp_path):
@@ -356,6 +360,13 @@ OUT_OF_RANGE_INI = [
     ("[detector]\nefficiency = 1.5\n", "detector:", "efficiency"),
     ("[channel]\nsecond_mode_fraction = 1.5\n", "channel:", "second_mode_fraction"),
     ("[source]\npair_rate = -1\n", "source:", "pair_rate"),
+    ("[analysis]\ncoincidence_window_ps = -10\n", "analysis:", "coincidence_window_ps"),
+    (
+        "[analysis]\nerror_correction_inefficiency = 0.5\n",
+        "analysis:",
+        "error_correction_inefficiency",
+    ),
+    ("[analysis]\nsecurity_epsilon = 2\n", "analysis:", "security_epsilon"),
 ]
 
 

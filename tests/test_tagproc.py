@@ -485,8 +485,10 @@ _small_times = st.lists(st.integers(0, 300), max_size=40)
 @example(ta=[5, 9], tb=[], offset=0, window=2000)
 @example(ta=[3, 3, 10], tb=[3, 4, 10, 11], offset=0, window=0)
 @example(ta=[3, 3, 10], tb=[2, 4, 9, 11], offset=-1, window=3)
+@example(ta=[-7, -3, 0, 4], tb=[-6, -5, -2, 5], offset=-1, window=4)
 def test_match_property_equals_oracle(ta, tb, offset, window):
-    # Empty and one-sided streams, window 0, odd windows, negative offsets.
+    # Empty and one-sided streams, window 0, odd windows, negative offsets
+    # and negative times.
     _assert_matches_oracle(ta, tb, offset, window)
 
 
@@ -549,6 +551,10 @@ def test_match_property_offset_out_of_range(ta, tb, window, side, beyond):
 @example(ta=[3, 3, 3, 10], tb=[3, 10], offset=0, window=0)
 # A chunk's first tag pushed past its lo by the previous chunk's pick.
 @example(ta=[0, 0, 100], tb=[0, 1, 100], offset=0, window=2)
+# A chunk's first tag whose raised pick falls outside its window.
+@example(ta=[0, 0], tb=[0, 5], offset=0, window=2)
+# Negative times crossing zero.
+@example(ta=[-7, -3, 0, 4], tb=[-6, -5, -2, 5], offset=-1, window=4)
 @example(ta=[], tb=[5, 9], offset=0, window=2000)
 def test_match_in_chunks_equals_oracle(chunk, ta, tb, offset, window):
     with pytest.MonkeyPatch.context() as patch:
@@ -641,7 +647,7 @@ def test_match_capture_fraction_matches_erf(rng):
 
 
 def test_match_peak_memory_beyond_records():
-    # The window bounds are found a chunk of A at a time; the scratch on top
+    # The first candidates are found a chunk of A at a time; the scratch on top
     # of the returned records must stay within half of A's times.
     tags_a, tags_b = sample_pair_tags(
         DENSE_SOURCE, DENSE_ARM, DENSE_ARM, DetectorParams(), 2.0, seed=3
