@@ -21,6 +21,7 @@ from .distill import (
 )
 from .netsim import (
     SessionPlan,
+    SliceOrderError,
     SourceBusyError,
     Topology,
     predict_key_rates,

@@ -82,6 +82,21 @@ class ExperimentConfig:
             raise ValueError(f"empty length list for scenario {self.scenario!r}")
         if self.scenario == "traffic_sweep" and not self.traffics_mbps:
             raise ValueError("empty traffic list for scenario 'traffic_sweep'")
+        self.validate_analysis()
+
+    def validate_analysis(self) -> None:
+        """Range-check the fields of the INI's [analysis] section, named by
+        their INI keys."""
+        if self.coincidence_window_ps < 0:
+            raise ValueError(
+                f"coincidence_window_ps must be >= 0, got {self.coincidence_window_ps}"
+            )
+        if not (math.isfinite(self.ec_inefficiency) and self.ec_inefficiency >= 1.0):
+            raise ValueError(
+                f"error_correction_inefficiency must be >= 1, got {self.ec_inefficiency}"
+            )
+        if not (0.0 < self.epsilon < 1.0):
+            raise ValueError(f"security_epsilon must be in (0, 1), got {self.epsilon}")
 
     def resolved_lengths_km(self) -> list[float]:
         if self.lengths_km is not None:
@@ -184,16 +199,7 @@ def load_config(path=None) -> ExperimentConfig:
         SourceParams(config.pair_rate, config.intrinsic_visibility)
         SourceParams(config.extrapolation_pair_rate, config.intrinsic_visibility)
     with _located(path, "analysis"):
-        if config.coincidence_window_ps < 0:
-            raise ValueError(
-                f"coincidence_window_ps must be >= 0, got {config.coincidence_window_ps}"
-            )
-        if not (math.isfinite(config.ec_inefficiency) and config.ec_inefficiency >= 1.0):
-            raise ValueError(
-                f"error_correction_inefficiency must be >= 1, got {config.ec_inefficiency}"
-            )
-        if not (0.0 < config.epsilon < 1.0):
-            raise ValueError(f"security_epsilon must be in (0, 1), got {config.epsilon}")
+        config.validate_analysis()
     return config
 
 
@@ -341,47 +347,77 @@ def _run_sessions(config, out_dir: Path, summary: list[str]) -> dict[str, Path]:
     source = SourceParams(config.pair_rate, config.intrinsic_visibility)
     repetitions = 1 if config.scenario == "single_run" else config.repetitions
     report_rows, rows = [], []
-    for key, labels, arm in points:
-        topo = Topology(
-            users=[("alice", arm), ("bob", arm)],
-            source=source,
-            detector=config.detector,
-            qber_drift_per_s=config.qber_drift_per_s,
-            coincidence_window_ps=config.coincidence_window_ps,
-            ec_inefficiency=config.ec_inefficiency,
-            epsilon=config.epsilon,
-        )
-        reports = []
-        for rep in range(repetitions):
-            seed = _derive_seed(config.seed, *key, rep)
-            report, artifacts = run_session(
-                schedule_session(topo, "alice", "bob", config.duration_s, seed)
+    outputs: dict[str, Path] = {}
+    with contextlib.ExitStack() as files:
+        sink = _dump_sink(config, out_dir, files, outputs)
+        for key, labels, arm in points:
+            topo = Topology(
+                users=[("alice", arm), ("bob", arm)],
+                source=source,
+                detector=config.detector,
+                qber_drift_per_s=config.qber_drift_per_s,
+                coincidence_window_ps=config.coincidence_window_ps,
+                ec_inefficiency=config.ec_inefficiency,
+                epsilon=config.epsilon,
             )
-            if config.scenario != "single_run":
-                artifacts = None  # free this session's tags before the next one runs
-            reports.append(report)
-            report_rows.append(report.csv_row())
-        rows.append({**labels, "repetitions": repetitions, **_aggregate(reports)})
-        summary.append(_SUMMARY_LINES[config.scenario].format(**rows[-1], report=report))
-    outputs = {
-        stem: emit_csv(
+            reports = []
+            for rep in range(repetitions):
+                seed = _derive_seed(config.seed, *key, rep)
+                report = run_session(
+                    schedule_session(topo, "alice", "bob", config.duration_s, seed), sink=sink
+                )[0]
+                reports.append(report)
+                report_rows.append(report.csv_row())
+            rows.append({**labels, "repetitions": repetitions, **_aggregate(reports)})
+            summary.append(_SUMMARY_LINES[config.scenario].format(**rows[-1], report=report))
+    for stem, columns in _TABLES[config.scenario].items():
+        outputs[stem] = emit_csv(
             [{name: row[name] for name in columns} for row in rows],
             out_dir / f"{stem}.csv",
             list(columns),
         )
-        for stem, columns in _TABLES[config.scenario].items()
-    }
     outputs["reports"] = emit_csv(
         report_rows, out_dir / "reports.csv", list(KeyRateReport.CSV_FIELDS)
     )
-    if config.scenario == "single_run" and config.dump_tags:
-        for name, tags in (("tags_alice", artifacts.tags_a), ("tags_bob", artifacts.tags_b)):
-            outputs[name] = out_dir / f"{name}.txt"
-            receiver.write_tags(tags, outputs[name])
-    if config.scenario == "single_run" and config.dump_coincidences:
-        outputs["coincidences"] = out_dir / "coincidences.csv"
-        tagproc.write_coincidences(artifacts.filtered_records, outputs["coincidences"])
     return outputs
+
+
+def _dump_sink(config, out_dir: Path, files: contextlib.ExitStack, outputs: dict):
+    """For a single_run that dumps its tags or coincidences, a session sink
+    that writes them slice by slice to files opened on ``files`` and named
+    in ``outputs``; otherwise None. A session that fails leaves no dump."""
+    if config.scenario != "single_run" or not (config.dump_tags or config.dump_coincidences):
+        return None
+    dumps = []
+
+    def remove_on_error(exc_type, exc, traceback) -> None:
+        if exc_type is not None:
+            for path in dumps:
+                path.unlink(missing_ok=True)
+
+    # Pushed first, so that it runs after the files are closed.
+    files.push(remove_on_error)
+
+    def open_output(name: str, filename: str, **kwargs):
+        dumps.append(out_dir / filename)
+        outputs[name] = out_dir / filename
+        return files.enter_context(open(outputs[name], "w", encoding="ascii", **kwargs))
+
+    tag_files = []
+    if config.dump_tags:
+        tag_files = [open_output(name, f"{name}.txt") for name in ("tags_alice", "tags_bob")]
+    coincidence_file = None
+    if config.dump_coincidences:
+        coincidence_file = open_output("coincidences", "coincidences.csv", newline="")
+        coincidence_file.write(tagproc.COINCIDENCE_HEADER)
+
+    def sink(tags_a, tags_b, records, filtered) -> None:
+        for fh, tags in zip(tag_files, (tags_a, tags_b)):
+            receiver.write_tag_rows(fh, tags)
+        if coincidence_file is not None and filtered is not None:
+            tagproc.write_coincidence_rows(coincidence_file, filtered)
+
+    return sink
 
 
 def _run_extrapolation(config, out_dir: Path, summary: list[str]) -> dict[str, Path]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -77,6 +78,32 @@ def sift(records: Coincidences, duration_s: float = 0.0) -> SiftedKey:
     bits_b = (records.det_b[matched] & 1).astype(np.uint8)
     qber = float(np.count_nonzero(bits_a != bits_b)) / bits_a.size
     return SiftedKey(bits_a=bits_a, bits_b=bits_b, qber=qber, duration_s=duration_s)
+
+
+class SiftTally(NamedTuple):
+    """How many matched-basis records a run of records holds and how many
+    of their bit pairs differ: the length and error count of the key that
+    ``sift`` builds, added up part by part."""
+
+    bits: int = 0
+    errors: int = 0
+
+    def __add__(self, other: "SiftTally") -> "SiftTally":
+        return SiftTally(self.bits + other.bits, self.errors + other.errors)
+
+    @property
+    def qber(self) -> float:
+        if self.bits == 0:
+            raise ValueError("no matched-basis records to sift")
+        return self.errors / self.bits
+
+
+def sift_tally(records: Coincidences) -> SiftTally:
+    """The tally of ``sift(records)``, without building the key; records
+    with no matched basis give a zero tally."""
+    matched = (records.det_a >> 1) == (records.det_b >> 1)
+    differ = (records.det_a ^ records.det_b) & 1
+    return SiftTally(int(np.count_nonzero(matched)), int(np.count_nonzero(differ[matched])))
 
 
 def binary_entropy(p: float) -> float:

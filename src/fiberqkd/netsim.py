@@ -7,6 +7,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -14,11 +15,12 @@ from . import channel as chan
 from . import distill, receiver, tagproc
 from .channel import ChannelConfig
 from .distill import KeyRateReport
-from .pairgen import SourceParams, matched_basis_error_probability
+from .pairgen import PS_PER_SECOND, SourceParams, matched_basis_error_probability
 from .receiver import (
     CLICK_A_ONLY,
     CLICK_B_ONLY,
     CLICK_BOTH,
+    MAX_TAGS,
     MODE_DEGRADED_A,
     MODE_DEGRADED_B,
     MODE_GOOD,
@@ -26,6 +28,20 @@ from .receiver import (
     TagOrigin,
     TagStream,
 )
+
+
+# Expected clicking pairs per slice of source time. A session draws and
+# processes its source one slice at a time, so that its memory is set by a
+# slice and not by its length; a brighter source gets shorter slices.
+SLICE_PAIRS = 1 << 19
+# Timing-jitter sigmas that no tag is taken to pass (the odds of one tag
+# doing so are below 1e-22): a tag of a later slice lands at most this far
+# ahead of the slice's start.
+_JITTER_REACH = 10
+
+
+class SliceOrderError(RuntimeError):
+    """A tag of a later slice landed behind tags already processed."""
 
 
 class SourceBusyError(RuntimeError):
@@ -96,15 +112,36 @@ class SessionPlan:
     seed: int
 
 
+class SliceCounts(NamedTuple):
+    """One slice of a session: when it starts, how many clicking pairs it
+    drew, and what became final in its step. Tags wait past the slice end
+    that drew them (see ``run_session``), so a step's tags and records are
+    not exactly those of its source time."""
+
+    start_ps: int
+    pairs: int
+    tags_a: int      # after dead time
+    tags_b: int
+    records: int     # wide-window matches, pre mode filter
+    retained: int    # of which the mode filter kept
+
+
 @dataclass(eq=False)
 class SessionArtifacts:
-    """Raw per-session data kept alongside the key-rate report."""
+    """Per-session counts kept alongside the key-rate report: one
+    ``SliceCounts`` per slice, and the sift tallies of the wide-window
+    matches before the mode filter and of those it retained. No tag or
+    record array is kept; ``run_session``'s ``sink`` receives them."""
 
-    tags_a: TagStream
-    tags_b: TagStream
-    records: tagproc.Coincidences          # wide-window matches, pre mode filter
-    filtered_records: tagproc.Coincidences
+    slices: list[SliceCounts]
+    wide_sift: distill.SiftTally
+    filtered_sift: distill.SiftTally
     mode_filter_ambiguous: bool
+
+    @property
+    def records(self) -> int:
+        """Wide-window matches of the session."""
+        return sum(counts.records for counts in self.slices)
 
 
 def schedule_session(
@@ -144,7 +181,9 @@ def release_session(plan: SessionPlan) -> None:
     plan.topology._release(plan)
 
 
-def run_session(plan: SessionPlan) -> tuple[KeyRateReport, SessionArtifacts]:
+def run_session(
+    plan: SessionPlan, sink=None
+) -> tuple[KeyRateReport, SessionArtifacts]:
     """Execute a session end to end and release the source when done.
 
     Pipeline: pair clicks drawn by the thinned event sampler
@@ -154,85 +193,273 @@ def run_session(plan: SessionPlan) -> tuple[KeyRateReport, SessionArtifacts]:
     the pairs that click on at least one side, with each pair's mode
     class (degraded on at most one arm) and click class taken from the
     shared link budget, so the cost scales with detected events rather
-    than emitted pairs. A pair tag's ``pair_ids`` entry indexes the
-    session's list of clicking pairs and is shared by both sides.
-    Deterministic under the plan seed.
+    than emitted pairs.
+
+    The source is drawn and processed in slices of source time, each
+    ``SLICE_PAIRS`` expected clicking pairs long (the last one cut at the
+    session's end; one slice when no pair can click), so that memory is
+    set by a slice and not by the session. Slice k draws its pair clicks
+    and both sides' noise from ``SeedSequence(seed, spawn_key=(k,))``,
+    and its pairs are numbered on from the slice before, so that a pair
+    tag's ``pair_ids`` entry indexes the session's clicking pairs. A tag
+    of a later slice lands at most ``_JITTER_REACH`` jitter sigmas before
+    that slice starts, so once slice k is drawn every tag before its end
+    less that reach is final; the later tags wait for the next slice,
+    and a tag of a later slice behind the frontier raises
+    ``SliceOrderError``. Final tags go through dead time, which carries
+    each detector's last kept tags on. The clock offset is recovered from
+    the final tags of the first slices, up to the one that brings A to
+    as many tags as ``find_offset``'s fine stage reads. Matching then
+    takes the final A tags whose window closes before the frontier and
+    carries the rest, and the B tags after the last matched pick, on to
+    the next slice; the mode filter and the sift tallies run on each
+    slice's records. Every tag, record and report equals what the
+    whole-stream stage functions give on the per-slice draws
+    concatenated and stably sorted by time, with offset recovery on the
+    same prefix. Deterministic under the plan seed.
+
+    ``sink``, when given, is called once per slice as ``sink(tags_a,
+    tags_b, records, filtered)`` with each side's tags that became final
+    in the slice's step, after dead time, and the wide-window and
+    filtered records matched in it (None while the tags wait for offset
+    recovery). Concatenated over the slices they are the session's
+    streams and records; ``idx_a``/``idx_b`` index the session's streams.
+
+    Raises ValueError when the slices are shorter than the time a tag can
+    wait past its slice's end: the arm and mode delays, the jitter reach
+    on both sides, the offset search span and half the match window.
     """
     topo = plan.topology
     try:
-        seeds = np.random.SeedSequence(plan.seed).spawn(8)
-        # Slots 1-4 are unused so that the noise seeds keep their places.
-        s_pairs, s_bg_a, s_bg_b, s_dark = seeds[0], seeds[5], seeds[6], seeds[7]
+        det = topo.detector
+        budget = receiver.link_budget(plan.config_a, plan.config_b, det)
+        duration_ps = int(round(plan.duration_s * PS_PER_SECOND))
+        click_rate = topo.source.pair_rate * float(budget.class_probs.sum())
+        slice_ps = duration_ps
+        if click_rate > 0:
+            slice_ps = min(slice_ps, math.ceil(SLICE_PAIRS / click_rate * PS_PER_SECOND))
 
-        tags_a, tags_b = receiver.sample_pair_tags(
-            topo.source,
-            plan.config_a,
-            plan.config_b,
-            topo.detector,
-            plan.duration_s,
-            s_pairs,
-            qber_drift_per_s=topo.qber_drift_per_s,
-        )
-
-        # Background then dark noise, one merge per side.
-        bg_a, bg_b = (
-            chan.background_rate_per_detector(cfg.traffic) for cfg in (plan.config_a, plan.config_b)
-        )
-        dark_cps = topo.detector.dark_cps
-        dark_a, dark_b = s_dark.spawn(2)
-        tags_a = receiver.add_noise_tags(
-            tags_a,
-            [(bg_a, TagOrigin.BACKGROUND, s_bg_a), (dark_cps, TagOrigin.DARK, dark_a)],
-            plan.duration_s,
-        )
-        tags_b = receiver.add_noise_tags(
-            tags_b,
-            [(bg_b, TagOrigin.BACKGROUND, s_bg_b), (dark_cps, TagOrigin.DARK, dark_b)],
-            plan.duration_s,
-        )
-        tags_a = receiver.apply_dead_time(tags_a, topo.detector.dead_time_ns)
-        tags_b = receiver.apply_dead_time(tags_b, topo.detector.dead_time_ns)
-
-        offset = tagproc.find_offset(tags_a, tags_b)
-
-        delay_a = plan.config_a.mode_delay_ps
-        delay_b = plan.config_b.mode_delay_ps
-        max_delay = max(delay_a, delay_b)
-        min_delay = min(delay_a, delay_b)
-        jitter_spread = math.hypot(
-            topo.detector.jitter_sigma_ps, topo.detector.jitter_sigma_ps
-        )
+        max_delay, min_delay = max(budget.mode_delay_ps), min(budget.mode_delay_ps)
+        jitter_spread = math.hypot(det.jitter_sigma_ps, det.jitter_sigma_ps)
         # Wide enough to capture the delayed-mode populations so the
         # arrival-time filter, not the matching window, removes them.
         match_window = topo.coincidence_window_ps + 2 * max_delay + 8 * round(jitter_spread)
-        records = tagproc.match_coincidences(tags_a, tags_b, offset, match_window)
-
         reject_half_width = topo.coincidence_window_ps // 2
-        filtered = tagproc.temporal_mode_filter(records, min_delay, reject_half_width)
-        retained = len(filtered) / len(records) if len(records) else 0.0
+        reach_ps = math.ceil(_JITTER_REACH * det.jitter_sigma_ps)
+        holdover_ps = (
+            max(budget.first_order_delay_ps)
+            + max_delay
+            + 2 * reach_ps
+            + tagproc.DEFAULT_SEARCH_SPAN_PS
+            + match_window // 2
+        )
+        if slice_ps < min(duration_ps, holdover_ps):
+            raise ValueError(
+                f"slices of {slice_ps} ps are shorter than the {holdover_ps} ps a tag "
+                f"can wait past its slice: {click_rate:.3g} clicking pairs/s is too "
+                f"bright for {SLICE_PAIRS} per slice"
+            )
 
-        key = distill.sift(filtered, plan.duration_s)
+        noise = [
+            (chan.background_rate_per_detector(cfg.traffic), det.dark_cps)
+            for cfg in (plan.config_a, plan.config_b)
+        ]
+        sides = [_SideSlicer(det.dead_time_ns), _SideSlicer(det.dead_time_ns)]
+        # Final tags held for offset recovery, per side.
+        prefix_parts: tuple[list, list] = ([], [])
+        matcher = None
+        slices = []
+        wide_sift = filtered_sift = distill.SiftTally()
+        next_id = 0
+        for k, start in enumerate(range(0, duration_ps, slice_ps)):
+            stop = min(start + slice_ps, duration_ps)
+            slice_s = (stop - start) / PS_PER_SECOND
+            s_pairs, *s_noise = np.random.SeedSequence(plan.seed, spawn_key=(k,)).spawn(5)
+            pair_tags = receiver.sample_pair_tags(
+                topo.source,
+                plan.config_a,
+                plan.config_b,
+                det,
+                slice_s,
+                s_pairs,
+                qber_drift_per_s=topo.qber_drift_per_s,
+                start_ps=start,
+                first_pair_id=next_id,
+            )
+            # The last pair drawn clicks on one side at least.
+            ids = [int(tags.pair_ids.max()) for tags in pair_tags if len(tags)]
+            pairs = max(ids) + 1 - next_id if ids else 0
+            next_id += pairs
+
+            # Every tag of a later slice lands at or after the frontier.
+            frontier = stop - reach_ps if stop < duration_ps else None
+            # Popped, so that each side's pair tags go once they are merged.
+            pair_tags = list(pair_tags)
+            final = [
+                side.advance(
+                    pair_tags.pop(0),
+                    [(bg, TagOrigin.BACKGROUND, s_bg), (dark, TagOrigin.DARK, s_dark)],
+                    slice_s,
+                    start,
+                    frontier,
+                )
+                for side, (bg, dark), s_bg, s_dark in zip(sides, noise, s_noise[:2], s_noise[2:])
+            ]
+
+            records = filtered = None
+            if matcher is None:
+                prefix_parts[0].append(final[0])
+                prefix_parts[1].append(final[1])
+                if (
+                    frontier is None
+                    or sum(map(len, prefix_parts[0])) >= tagproc._FINE_SOURCE_TAGS
+                ):
+                    prefix = [TagStream.concat(parts) for parts in prefix_parts]
+                    prefix_parts = ([], [])
+                    matcher = _SliceMatcher(tagproc.find_offset(*prefix), match_window)
+                    records = matcher.feed(*prefix, frontier)
+                    del prefix
+            else:
+                records = matcher.feed(*final, frontier)
+            if records is not None:
+                filtered = tagproc.temporal_mode_filter(records, min_delay, reject_half_width)
+                wide_sift += distill.sift_tally(records)
+                filtered_sift += distill.sift_tally(filtered)
+            if sink is not None:
+                sink(*final, records, filtered)
+            slices.append(
+                SliceCounts(
+                    start_ps=start,
+                    pairs=pairs,
+                    tags_a=len(final[0]),
+                    tags_b=len(final[1]),
+                    records=0 if records is None else len(records),
+                    retained=0 if filtered is None else len(filtered),
+                )
+            )
+            del final, records, filtered
+
+        artifacts = SessionArtifacts(
+            slices=slices,
+            wide_sift=wide_sift,
+            filtered_sift=filtered_sift,
+            mode_filter_ambiguous=min_delay <= reject_half_width,
+        )
+        n_records = artifacts.records
         report = _key_rate_report(
             plan.config_a,
             plan.config_b,
-            sifted_bits=len(key),
-            sifted_rate=len(key) / plan.duration_s,
-            qber=key.qber,
-            retained_fraction=retained,
-            offset_ps=offset,
+            sifted_bits=filtered_sift.bits,
+            sifted_rate=filtered_sift.bits / plan.duration_s,
+            qber=filtered_sift.qber,
+            retained_fraction=(
+                sum(counts.retained for counts in slices) / n_records if n_records else 0.0
+            ),
+            offset_ps=matcher.offset_ps,
             ec_inefficiency=topo.ec_inefficiency,
             epsilon=topo.epsilon,
-        )
-        artifacts = SessionArtifacts(
-            tags_a=tags_a,
-            tags_b=tags_b,
-            records=records,
-            filtered_records=filtered,
-            mode_filter_ambiguous=min_delay <= reject_half_width,
         )
         return report, artifacts
     finally:
         release_session(plan)
+
+
+class _SideSlicer:
+    """One side's tags on their way from the slices' draws through dead
+    time.
+
+    Tags at or past the frontier wait for the next slice, whose tags all
+    land at or past it. The kept tags within the dead time before the
+    frontier are carried on and run through dead time again ahead of the
+    next slice's tags: each was kept after the carried tags before it, so
+    it is kept again, and the tags after it are judged as a scan of the
+    whole stream would judge them.
+    """
+
+    def __init__(self, dead_time_ns: float):
+        self.dead_time_ns = dead_time_ns
+        self.dead_ps = int(round(dead_time_ns * 1000.0))
+        self.waiting = TagStream.empty()
+        self.carry = TagStream.empty()
+        self.frontier: int | None = None
+
+    def advance(self, pairs: TagStream, noise, duration_s: float, start_ps: int, frontier):
+        """This side's tags of a slice that starts at ``start_ps``: its pair
+        tags ``pairs`` and the ``noise`` processes of ``add_noise_tags``
+        merged with the waiting tags, then the tags before ``frontier`` (all
+        of them when it is None), after dead time."""
+        # The waiting tags come from earlier slices, so they go first at
+        # equal times, as the pair tags go before the noise.
+        stream = receiver.merge_streams(self.waiting, pairs)
+        del pairs
+        stream = receiver.add_noise_tags(stream, noise, duration_s, start_ps=start_ps)
+        if self.frontier is not None and len(stream) and stream.times_ps[0] < self.frontier:
+            raise SliceOrderError(
+                f"a tag at {stream.times_ps[0]} ps lands behind the tags processed up "
+                f"to {self.frontier} ps"
+            )
+        cut = len(stream)
+        if frontier is not None:
+            cut = int(np.searchsorted(stream.times_ps, frontier))
+        self.waiting = stream.take(np.arange(cut, len(stream)))
+        carried = len(self.carry)
+        kept = receiver.apply_dead_time(
+            TagStream.concat([self.carry, stream.take(slice(0, cut))]), self.dead_time_ns
+        )
+        del stream
+        if frontier is not None:
+            first = int(np.searchsorted(kept.times_ps, frontier - self.dead_ps, side="right"))
+            self.carry = kept.take(np.arange(first, len(kept)))
+        self.frontier = frontier
+        return kept.take(slice(carried, None))
+
+
+class _SliceMatcher:
+    """``tagproc.match_coincidences`` over two streams that become final
+    slice by slice.
+
+    An A tag is matched once its window closes before the frontier, since
+    every B tag in it is final then. The A tags not yet matched wait, and
+    so do the B tags after the last matched pick that a waiting or later A
+    tag's window can still reach; the greedy scan of the whole streams
+    picks from these B tags alone, so each call starts where that scan
+    stands.
+    """
+
+    def __init__(self, offset_ps: int, window_ps: int):
+        self.offset_ps = offset_ps
+        self.window_ps = window_ps
+        self.lower = offset_ps - window_ps // 2
+        self.upper = offset_ps + window_ps // 2
+        self.waiting = [TagStream.empty(), TagStream.empty()]
+        self.base = [0, 0]  # session index of each side's first waiting tag
+
+    def feed(self, tags_a: TagStream, tags_b: TagStream, frontier: int | None):
+        """The records of the A tags that the final ``tags_a`` and ``tags_b``
+        decide, with ``frontier`` as in ``_SideSlicer.advance``."""
+        a, b = (TagStream.concat(pair) for pair in zip(self.waiting, (tags_a, tags_b)))
+        for side, base, tags in zip("AB", self.base, (a, b)):
+            if base + len(tags) > MAX_TAGS:
+                raise ValueError(
+                    f"stream {side} holds more than the {MAX_TAGS} tags that int32 "
+                    "indices reach"
+                )
+        n = len(a)
+        if frontier is not None:
+            n = int(np.searchsorted(a.times_ps, frontier - self.upper))
+        records = tagproc.match_coincidences(
+            a.take(slice(0, n)), b, self.offset_ps, self.window_ps
+        )
+        passed = int(records.idx_b[-1]) + 1 if len(records) else 0
+        if frontier is not None:
+            # No waiting or later A tag's window reaches below the next one's.
+            next_a = a.times_ps[n] if n < len(a) else frontier
+            passed = max(passed, int(np.searchsorted(b.times_ps, next_a + self.lower)))
+        records.idx_a += self.base[0]
+        records.idx_b += self.base[1]
+        self.waiting = [a.take(np.arange(n, len(a))), b.take(np.arange(passed, len(b)))]
+        self.base = [self.base[0] + n, self.base[1] + passed]
+        return records
 
 
 def _normal_cdf(x: float) -> float:

@@ -92,6 +92,23 @@ class TagStream:
             modes=np.empty(0, dtype=np.int8),
         )
 
+    @classmethod
+    def concat(cls, streams: Sequence["TagStream"]) -> "TagStream":
+        """The streams one after another; a single non-empty stream comes
+        back as it is."""
+        parts = [stream for stream in streams if len(stream)]
+        if len(parts) == 1:
+            return parts[0]
+        if not parts:
+            return cls.empty()
+        return cls(
+            times_ps=np.concatenate([part.times_ps for part in parts]),
+            detectors=np.concatenate([part.detectors for part in parts]),
+            origins=np.concatenate([part.origins for part in parts]),
+            pair_ids=np.concatenate([part.pair_ids for part in parts]),
+            modes=np.concatenate([part.modes for part in parts]),
+        )
+
     def take(self, index: np.ndarray) -> "TagStream":
         return TagStream(
             times_ps=self.times_ps[index],
@@ -179,9 +196,12 @@ def sample_pair_tags(
     duration_s: float,
     seed,
     qber_drift_per_s: float = 0.0,
+    *,
+    start_ps: int = 0,
+    first_pair_id: int = 0,
 ) -> tuple[TagStream, TagStream]:
-    """Draw both parties' pair clicks over [0, duration), sampling only
-    pairs that click.
+    """Draw both parties' clicks of the pairs emitted over [start, start +
+    duration), sampling only pairs that click.
 
     Pairs are emitted as a Poisson process at ``source.pair_rate`` and each
     falls independently into one class of ``link_budget``, so the pairs
@@ -193,17 +213,20 @@ def sample_pair_tags(
     jitter. A pair that clicks on both sides with both photons first-order
     and matching bases has outcomes correlated with contrast
     ``source.intrinsic_visibility``; every other outcome is uniform.
-    ``qber_drift_per_s`` adds a linear-in-time term to the matched-basis
-    error probability, clamped to [0, 0.5], to emulate slow polarization
-    drift of the link; 0 disables it.
+    ``qber_drift_per_s`` adds a linear term in the absolute arrival time to
+    the matched-basis error probability, clamped to [0, 0.5], to emulate
+    slow polarization drift of the link; 0 disables it.
 
-    A tag's ``pair_ids`` entry is the index of its pair in the session's
-    time-ordered list of clicking pairs, shared by both sides; ``modes`` is
-    1 for a second-order photon. Deterministic under ``seed``; the draw
-    order is count, ticks, classes, basis and outcome on A, basis and
-    outcome on B, correlation flips, jitter on A, jitter on B. Raises
-    ValueError, before any array is drawn, when the count exceeds the
-    2**31 - 1 ids that the int32 ``pair_ids`` can hold.
+    ``run_session`` calls this once per slice of a session, with the
+    slice's start tick ``start_ps`` and its first pair id. The clicking
+    pairs are numbered ``first_pair_id`` onward in emission order, and a
+    tag's ``pair_ids`` entry is its pair's number, shared by both sides;
+    ``modes`` is 1 for a second-order photon. Every drawn array is as long
+    as the drawn count, so memory follows the count. Deterministic under
+    ``seed``; the draw order is count, ticks, classes, basis and outcome
+    on A, basis and outcome on B, correlation flips, jitter on A, jitter
+    on B. Raises ValueError, before any array is drawn, when the pair
+    numbers would pass the 2**31 - 1 that the int32 ``pair_ids`` hold.
     """
     if not (math.isfinite(duration_s) and duration_s > 0):
         raise ValueError(f"duration_s must be finite and > 0, got {duration_s}")
@@ -212,13 +235,16 @@ def sample_pair_tags(
     p_click = float(probs.sum())
     rng = np.random.default_rng(seed)
     n = int(rng.poisson(source.pair_rate * duration_s * p_click))
-    if n > MAX_TAGS:
+    if first_pair_id + n > MAX_TAGS:
         raise ValueError(
-            f"{n} clicking pairs in {duration_s} s exceed the {MAX_TAGS} int32 pair ids"
+            f"{n} clicking pairs in {duration_s} s from pair {first_pair_id} on exceed "
+            f"the {MAX_TAGS} int32 pair ids"
         )
     if n == 0:
         return TagStream.empty(), TagStream.empty()
-    emitted = rng.integers(0, int(round(duration_s * PS_PER_SECOND)), size=n, dtype=np.int64)
+    emitted = rng.integers(
+        start_ps, start_ps + int(round(duration_s * PS_PER_SECOND)), size=n, dtype=np.int64
+    )
     emitted.sort()
     idx, second, detectors = _draw_outcomes(
         rng, source, budget, probs / p_click, emitted, qber_drift_per_s
@@ -246,13 +272,15 @@ def sample_pair_tags(
             )
             # Free this side's jitter before the next side draws its own.
             del jitter
+        ids = idx[side]
+        ids += first_pair_id
         streams.append(
             _sort_fresh(
                 TagStream(
                     times_ps=side_times,
                     detectors=detectors[side],
                     origins=np.full(side_times.size, TagOrigin.PAIR, dtype=np.int8),
-                    pair_ids=idx[side],
+                    pair_ids=ids,
                     modes=second[side].view(np.int8),
                 )
             )
@@ -294,28 +322,20 @@ def _draw_outcomes(rng, source, budget, p, emitted, qber_drift_per_s):
     return (idx_a, idx_b), second, (2 * basis_a + bit_a, 2 * basis_b + bit_b)
 
 
-# Elements per chunk of the class draw's uniforms, so that they need no
-# array as long as the session.
-_SCRATCH_CHUNK = 1 << 16
-
-
 def _draw_classes(rng: np.random.Generator, p: np.ndarray, n: int) -> np.ndarray:
     """``rng.choice(p.size, size=n, p=p)`` as int8, drawing the same uniforms
     and leaving ``rng`` in the same state.
 
     ``choice`` draws u ~ U[0, 1) and returns the number of entries of the
     normalized cumulative ``p`` that are at most u; counting u against the
-    inner edges gives the same index without a binary search. The uniforms
-    come ``_SCRATCH_CHUNK`` at a time, the same stream as one call for n.
+    inner edges gives the same index without a binary search.
     """
     cdf = p.cumsum()
     cdf /= cdf[-1]
     classes = np.zeros(n, dtype=np.int8)
-    for start in range(0, n, _SCRATCH_CHUNK):
-        out = classes[start : start + _SCRATCH_CHUNK]
-        u = rng.random(out.size)
-        for edge in cdf[:-1]:
-            out += u >= edge
+    u = rng.random(n)
+    for edge in cdf[:-1]:
+        classes += u >= edge
     return classes
 
 
@@ -380,17 +400,19 @@ def add_noise_tags(
     stream: TagStream,
     noise: Sequence[tuple[float, TagOrigin, object]],
     duration_s: float,
+    *,
+    start_ps: int = 0,
 ) -> TagStream:
     """Merge independent Poisson click processes into the stream in one pass.
 
     ``noise`` lists the processes as ``(rate_cps_per_detector, origin,
     seed)``. For each, drawn from its own ``default_rng(seed)``, every one
     of the four detectors receives Poisson(rate * duration) extra tags
-    uniform over [0, duration); a zero rate draws nothing. The result is
-    sorted by time; tags with equal times come stream first, then each
-    process in list order, each group in its own order, as a stable sort
-    of the concatenated streams would give. Raises ValueError if the
-    stream is not sorted by time.
+    uniform over [start, start + duration); a zero rate draws nothing. The
+    result is sorted by time; tags with equal times come stream first,
+    then each process in list order, each group in its own order, as a
+    stable sort of the concatenated streams would give. Raises ValueError
+    if the stream is not sorted by time.
     """
     if not stream.is_sorted():
         raise ValueError("stream must be sorted by time")
@@ -404,7 +426,9 @@ def add_noise_tags(
         rng = np.random.default_rng(seed)
         counts = rng.poisson(rate * duration_s, size=NUM_DETECTORS)
         total = int(counts.sum())
-        times.append(rng.integers(0, duration_ps, size=total, dtype=np.int64))
+        times.append(
+            rng.integers(start_ps, start_ps + duration_ps, size=total, dtype=np.int64)
+        )
         detectors.append(np.repeat(np.arange(NUM_DETECTORS, dtype=np.int8), counts))
         origins.append(np.full(total, origin, dtype=np.int8))
     if not times:
@@ -416,25 +440,41 @@ def add_noise_tags(
     tied = _chained_runs(times[1:] == times[:-1])
     ties = order[tied]
     order[tied] = ties[np.lexsort((ties, times[tied]))]
-    detectors, origins = detectors[order], origins[order]
-    # Each noise tag goes after the stream tags at or before its time and
-    # after the noise tags sorted ahead of it.
-    at = np.searchsorted(stream.times_ps, times, side="right") + np.arange(times.size)
-    from_stream = np.ones(len(stream) + times.size, dtype=bool)
-    from_stream[at] = False
+    drawn = TagStream(
+        times_ps=times,
+        detectors=detectors[order],
+        origins=origins[order],
+        pair_ids=np.full(times.size, -1, dtype=np.int32),
+        modes=np.full(times.size, -1, dtype=np.int8),
+    )
+    return merge_streams(stream, drawn)
 
-    def merged(ours: np.ndarray, drawn) -> np.ndarray:
-        out = np.empty(from_stream.size, dtype=ours.dtype)
-        out[from_stream] = ours
-        out[at] = drawn
+
+def merge_streams(first: TagStream, second: TagStream) -> TagStream:
+    """Merge two streams sorted by time into one, as a stable sort of
+    ``first`` followed by ``second`` would: at equal times the tags of
+    ``first`` come first. An empty side gives the other stream back."""
+    if len(first) == 0 or len(second) == 0:
+        return second if len(first) == 0 else first
+    # Each tag of ``second`` goes after the tags of ``first`` at or before
+    # its time and after the tags of ``second`` ahead of it.
+    at = np.searchsorted(first.times_ps, second.times_ps, side="right")
+    at += np.arange(at.size)
+    from_first = np.ones(len(first) + len(second), dtype=bool)
+    from_first[at] = False
+
+    def merged(ours: np.ndarray, theirs: np.ndarray) -> np.ndarray:
+        out = np.empty(from_first.size, dtype=ours.dtype)
+        out[from_first] = ours
+        out[at] = theirs
         return out
 
     return TagStream(
-        times_ps=merged(stream.times_ps, times),
-        detectors=merged(stream.detectors, detectors),
-        origins=merged(stream.origins, origins),
-        pair_ids=merged(stream.pair_ids, -1),
-        modes=merged(stream.modes, -1),
+        times_ps=merged(first.times_ps, second.times_ps),
+        detectors=merged(first.detectors, second.detectors),
+        origins=merged(first.origins, second.origins),
+        pair_ids=merged(first.pair_ids, second.pair_ids),
+        modes=merged(first.modes, second.modes),
     )
 
 
@@ -523,18 +563,24 @@ def write_tags(stream: TagStream, path) -> None:
     """Dump a tag stream as text, one ``<time_ps> <detector> <origin>`` line
     per tag (origin codes: p=pair, b=background, d=dark).
     """
+    columns = _tag_columns(stream)
+    with open(path, "w", encoding="ascii") as fh:
+        write_rows(fh, "{} {} {}\n", *columns)
+
+
+def write_tag_rows(fh, stream: TagStream) -> None:
+    """Write the lines of ``write_tags`` for ``stream`` to the open text
+    file ``fh``, so that a stream can be written one part after another."""
+    write_rows(fh, "{} {} {}\n", *_tag_columns(stream))
+
+
+def _tag_columns(stream: TagStream) -> tuple[np.ndarray, ...]:
+    """The three columns of the tag format, checked."""
     check_detectors(stream.detectors)
     if len(stream) and (stream.origins.min() < 0 or stream.origins.max() >= len(TagOrigin)):
         raise ValueError("tag origins must be TagOrigin values")
     codes = np.array([_ORIGIN_CODES[origin] for origin in TagOrigin])
-    with open(path, "w", encoding="ascii") as fh:
-        write_rows(
-            fh,
-            "{} {} {}\n",
-            stream.times_ps,
-            stream.detectors,
-            codes[stream.origins],
-        )
+    return stream.times_ps, stream.detectors, codes[stream.origins]
 
 
 def load_text_rows(path, **loadtxt_kwargs) -> np.ndarray:

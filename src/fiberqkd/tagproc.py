@@ -422,22 +422,31 @@ def temporal_mode_filter(
 
 
 _COINCIDENCE_FIELDS = ("time_a_ps", "time_b_ps", "det_a", "det_b", "delta_ps")
+# The first line of a coincidence CSV.
+COINCIDENCE_HEADER = ",".join(_COINCIDENCE_FIELDS) + "\n"
 
 
 def write_coincidences(records: Coincidences, path) -> None:
     """Write records as CSV: time_a_ps,time_b_ps,det_a,det_b,delta_ps."""
     check_detectors(records.det_a, records.det_b)
     with open(path, "w", encoding="ascii", newline="") as fh:
-        fh.write(",".join(_COINCIDENCE_FIELDS) + "\n")
-        write_rows(
-            fh,
-            "{},{},{},{},{}\n",
-            records.times_a,
-            records.times_b,
-            records.det_a,
-            records.det_b,
-            records.delta,
-        )
+        fh.write(COINCIDENCE_HEADER)
+        write_rows(fh, _COINCIDENCE_ROW, *_record_columns(records))
+
+
+def write_coincidence_rows(fh, records: Coincidences) -> None:
+    """Write the data lines of ``write_coincidences`` for ``records`` to the
+    open text file ``fh``, so that records can be written part by part
+    after the header."""
+    check_detectors(records.det_a, records.det_b)
+    write_rows(fh, _COINCIDENCE_ROW, *_record_columns(records))
+
+
+_COINCIDENCE_ROW = "{},{},{},{},{}\n"
+
+
+def _record_columns(records: Coincidences) -> tuple[np.ndarray, ...]:
+    return records.times_a, records.times_b, records.det_a, records.det_b, records.delta
 
 
 def read_coincidences(path, offset_ps: int = 0) -> Coincidences:

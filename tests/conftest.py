@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from fiberqkd.channel import ChannelConfig
 from fiberqkd.pairgen import PS_PER_SECOND, SourceParams
 from fiberqkd.receiver import NUM_DETECTORS, TagStream
+from fiberqkd.tagproc import Coincidences
 
 
 def make_tag_stream(times_ps, detectors=None, origins=None) -> TagStream:
@@ -37,10 +38,10 @@ def assert_streams_equal(got: TagStream, want: TagStream) -> None:
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
-def noise_merge_reference(stream, noise, duration_s) -> TagStream:
+def noise_merge_reference(stream, noise, duration_s, start_ps=0) -> TagStream:
     """Concatenate the stream and then each ``(rate, origin, seed)``
-    process's noise tags, drawn as ``add_noise_tags`` draws them, in list
-    order, and stable-sort the whole by time."""
+    process's noise tags, drawn as ``add_noise_tags`` draws them from
+    ``start_ps`` on, in list order, and stable-sort the whole by time."""
     parts = [stream]
     duration_ps = int(round(duration_s * PS_PER_SECOND))
     for rate, origin, seed in noise:
@@ -49,7 +50,9 @@ def noise_merge_reference(stream, noise, duration_s) -> TagStream:
         total = int(counts.sum())
         parts.append(
             TagStream(
-                times_ps=rng.integers(0, duration_ps, size=total, dtype=np.int64),
+                times_ps=rng.integers(
+                    start_ps, start_ps + duration_ps, size=total, dtype=np.int64
+                ),
                 detectors=np.repeat(np.arange(NUM_DETECTORS, dtype=np.int8), counts),
                 origins=np.full(total, int(origin), dtype=np.int8),
                 pair_ids=np.full(total, -1, dtype=np.int32),
@@ -60,6 +63,51 @@ def noise_merge_reference(stream, noise, duration_s) -> TagStream:
         **{name: np.concatenate([getattr(part, name) for part in parts]) for name in TAG_COLUMNS}
     )
     return merged.take(np.argsort(merged.times_ps, kind="stable"))
+
+
+RECORD_COLUMNS = ("times_a", "times_b", "det_a", "det_b", "delta", "idx_a", "idx_b")
+
+
+def concat_records(parts, offset_ps=0) -> Coincidences:
+    """The records of ``parts`` one after another."""
+    return Coincidences(
+        **{
+            name: np.concatenate([getattr(part, name) for part in parts])
+            if parts
+            else np.empty(0, dtype=np.int32 if name.startswith("idx") else np.int64)
+            for name in RECORD_COLUMNS
+        },
+        offset_ps=parts[0].offset_ps if parts else offset_ps,
+    )
+
+
+def assert_records_equal(got: Coincidences, want: Coincidences) -> None:
+    """Assert that the two record sets have equal arrays and dtypes."""
+    for name in RECORD_COLUMNS:
+        assert getattr(got, name).dtype == getattr(want, name).dtype, name
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert got.offset_ps == want.offset_ps
+
+
+class SessionSink:
+    """A ``run_session`` sink that keeps every part it is given, in order:
+    each side's tags and the wide-window and filtered records."""
+
+    def __init__(self):
+        self.parts = ([], [], [], [])
+        self.calls = 0
+
+    def __call__(self, tags_a, tags_b, records, filtered):
+        self.calls += 1
+        for held, part in zip(self.parts, (tags_a, tags_b, records, filtered)):
+            if part is not None:
+                held.append(part)
+
+    def streams(self) -> tuple[TagStream, TagStream]:
+        return tuple(TagStream.concat(parts) for parts in self.parts[:2])
+
+    def records(self) -> tuple[Coincidences, Coincidences]:
+        return tuple(concat_records(parts) for parts in self.parts[2:])
 
 
 def dead_time_reference(times, detectors, dead_ps):

@@ -19,7 +19,7 @@ from fiberqkd.channel import (
     background_rate_per_detector,
     transmittance,
 )
-from fiberqkd.distill import asymptotic_rate, binary_entropy, finite_key_length, sift
+from fiberqkd.distill import asymptotic_rate, binary_entropy, finite_key_length
 from fiberqkd.netsim import Topology, predict_key_rates, run_session, schedule_session
 from fiberqkd.pairgen import SourceParams
 from fiberqkd.receiver import DetectorParams, apply_dead_time
@@ -95,9 +95,9 @@ def test_a3_mode_filter_calibration():
             seed=20260811,
             detector=DetectorParams(second_mode_rejection_db=0.0),
         )
-        assert len(artifacts.records) >= 2e4
-        v_unfiltered = 1 - 2 * sift(artifacts.records).qber
-        v_filtered = 1 - 2 * sift(artifacts.filtered_records).qber
+        assert artifacts.records >= 2e4
+        v_unfiltered = 1 - 2 * artifacts.wide_sift.qber
+        v_filtered = 1 - 2 * artifacts.filtered_sift.qber
         assert abs(v_unfiltered - 0.62) <= 0.04
         assert v_filtered >= 0.93
         assert abs(report.retained_fraction - 0.5) <= 0.1

@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from fiberqkd import cli
+from conftest import SessionSink
+from fiberqkd import cli, netsim
 from fiberqkd.channel import TrafficDirection
 from fiberqkd.cli import (
     ExperimentConfig,
@@ -20,6 +21,8 @@ from fiberqkd.cli import (
 )
 from fiberqkd.distill import KeyRateReport
 from fiberqkd.netsim import release_session
+from fiberqkd.receiver import DetectorParams, write_tags
+from fiberqkd.tagproc import NoCorrelationPeakError, write_coincidences
 
 EXAMPLE_INI = Path(__file__).resolve().parents[1] / "example_experiment.ini"
 
@@ -382,6 +385,75 @@ def test_load_config_rejects_out_of_range(tmp_path, text, location, name):
         load_config(ini)
 
 
+ANALYSIS_OUT_OF_RANGE = [
+    ("coincidence_window_ps", -10, "coincidence_window_ps"),
+    ("ec_inefficiency", 0.5, "error_correction_inefficiency"),
+    ("epsilon", 2.0, "security_epsilon"),
+]
+
+
+@pytest.mark.parametrize(
+    "field, value, name", ANALYSIS_OUT_OF_RANGE, ids=[f for f, _, _ in ANALYSIS_OUT_OF_RANGE]
+)
+def test_run_experiment_rejects_out_of_range_analysis(tmp_path, monkeypatch, field, value, name):
+    # A config built in code reaches the same [analysis] checks as an INI
+    # file, through validate(), before any session runs.
+    sessions = []
+    monkeypatch.setattr(cli, "run_session", lambda *args, **kwargs: sessions.append(args))
+    config = _fast_config(output_dir=str(tmp_path / "out"), **{field: value})
+    with pytest.raises(ValueError, match=re.escape(f"{name} must")):
+        run_experiment(config)
+    assert sessions == []
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("seed", [5, 6])
+def test_dumps_written_slice_by_slice_equal_whole_writes(tmp_path, monkeypatch, seed):
+    # Short slices give the 0.5 s session about 25 slices; the dumps, written
+    # slice by slice, equal the whole-file writers on the parts joined.
+    monkeypatch.setattr(netsim, "SLICE_PAIRS", 1 << 12)
+    kept = SessionSink()
+    session = cli.run_session
+
+    def run_session(plan, sink=None):
+        def both(*parts):
+            kept(*parts)
+            sink(*parts)
+
+        return session(plan, sink=both)
+
+    monkeypatch.setattr(cli, "run_session", run_session)
+    config = _fast_config(
+        seed=seed, output_dir=str(tmp_path / "out"), dump_tags=True, dump_coincidences=True
+    )
+    outputs = run_experiment(config)
+    assert kept.calls > 10
+    tags_a, tags_b = kept.streams()
+    _, filtered = kept.records()
+    assert len(filtered) > 1000
+    write_tags(tags_a, tmp_path / "tags_alice.txt")
+    write_tags(tags_b, tmp_path / "tags_bob.txt")
+    write_coincidences(filtered, tmp_path / "coincidences.csv")
+    for name, filename in (
+        ("tags_alice", "tags_alice.txt"),
+        ("tags_bob", "tags_bob.txt"),
+        ("coincidences", "coincidences.csv"),
+    ):
+        assert outputs[name].read_bytes() == (tmp_path / filename).read_bytes(), name
+
+
+def test_failed_single_run_leaves_no_dump(tmp_path):
+    # Dead detectors leave only dark counts, so offset recovery fails after
+    # the dump files were opened; none of them is left behind.
+    config = _fast_config(
+        output_dir=str(tmp_path / "out"), dump_tags=True, dump_coincidences=True
+    )
+    config.detector = DetectorParams(efficiency=0.0)
+    with pytest.raises(NoCorrelationPeakError):
+        run_experiment(config)
+    assert list((tmp_path / "out").iterdir()) == []
+
+
 def test_sweep_frees_each_session_before_the_next(tmp_path, monkeypatch):
     # Only the report of a sweep session is kept: its tags and coincidences
     # are gone by the time the next session starts.
@@ -403,7 +475,7 @@ def test_sweep_frees_each_session_before_the_next(tmp_path, monkeypatch):
 
     earlier = []
 
-    def run_session(plan):
+    def run_session(plan, sink=None):
         assert all(ref() is None for ref in earlier)
         release_session(plan)
         artifacts = Artifacts()

@@ -4,7 +4,13 @@ import threading
 import numpy as np
 import pytest
 
-from conftest import assert_streams_equal, dead_time_reference, noise_merge_reference
+from conftest import (
+    SessionSink,
+    assert_records_equal,
+    assert_streams_equal,
+    dead_time_reference,
+    noise_merge_reference,
+)
 from fiberqkd.channel import (
     ChannelConfig,
     ClassicalTraffic,
@@ -21,8 +27,8 @@ from fiberqkd.netsim import (
     schedule_session,
 )
 from fiberqkd.pairgen import SourceParams
-from fiberqkd import receiver
-from fiberqkd.receiver import DetectorParams, TagOrigin, sample_pair_tags
+from fiberqkd import netsim, receiver
+from fiberqkd.receiver import DetectorParams, TagOrigin, TagStream, sample_pair_tags
 from fiberqkd.tagproc import ModeFilterWarning, NoCorrelationPeakError
 
 
@@ -125,62 +131,84 @@ def test_exclusion_under_concurrent_scheduling():
 
 def test_run_session_deterministic():
     topo = _topology(pair_rate=3e5)
-    report1, art1 = run_session(schedule_session(topo, "alice", "bob", 2.0, seed=42))
-    report2, art2 = run_session(schedule_session(topo, "alice", "bob", 2.0, seed=42))
+    sinks = [SessionSink(), SessionSink()]
+    report1, art1 = run_session(
+        schedule_session(topo, "alice", "bob", 2.0, seed=42), sink=sinks[0]
+    )
+    report2, art2 = run_session(
+        schedule_session(topo, "alice", "bob", 2.0, seed=42), sink=sinks[1]
+    )
     assert report1 == report2
-    assert np.array_equal(art1.tags_a.times_ps, art2.tags_a.times_ps)
-    assert np.array_equal(art1.tags_b.detectors, art2.tags_b.detectors)
-    assert np.array_equal(art1.filtered_records.delta, art2.filtered_records.delta)
+    assert art1.slices == art2.slices
+    (a1, b1), (a2, b2) = (sink.streams() for sink in sinks)
+    assert np.array_equal(a1.times_ps, a2.times_ps)
+    assert np.array_equal(b1.detectors, b2.detectors)
+    assert np.array_equal(sinks[0].records()[1].delta, sinks[1].records()[1].delta)
     report3, _ = run_session(schedule_session(topo, "alice", "bob", 2.0, seed=43))
     assert report3 != report1
 
 
 @pytest.mark.parametrize("seed", [3, 4])
 def test_session_streams_equal_oracle_chain(monkeypatch, seed):
-    # The session's streams against a chain rebuilt from the same seed
-    # slots: the sampler, then the concatenate-and-stable-sort merge of
-    # background and dark noise, then the sequential dead-time scan.
+    # The session's streams against a chain rebuilt from each slice's seed:
+    # the sampler, the concatenate-and-stable-sort merge of background and
+    # dark noise, all slices concatenated and stably sorted, then the
+    # sequential dead-time scan. Short slices put about seven in 0.5 s.
+    monkeypatch.setattr(netsim, "SLICE_PAIRS", 1 << 14)
     topo = _topology(length_km=0.25, traffic=_active())
     duration_s = 0.5
     plan = schedule_session(topo, "alice", "bob", duration_s, seed=seed)
     calls = []
     for name in ("add_noise_tags", "apply_dead_time"):
-        def spy(stream, *args, _name=name, _call=getattr(receiver, name)):
+        def spy(stream, *args, _name=name, _call=getattr(receiver, name), **kwargs):
             calls.append((_name, args))
-            return _call(stream, *args)
+            return _call(stream, *args, **kwargs)
 
         monkeypatch.setattr(receiver, name, spy)
+    sink = SessionSink()
     with pytest.warns(ModeFilterWarning):
-        _, artifacts = run_session(plan)
-    # One merge per side, then dead time per side. Session streams hardly
-    # ever hold equal times, so the tie order (stream, background, dark)
-    # is pinned here by the order of the processes passed to the merge.
-    assert [name for name, _ in calls] == ["add_noise_tags"] * 2 + ["apply_dead_time"] * 2
-    for _, (noise, _) in calls[:2]:
-        assert [origin for _, origin, _ in noise] == [TagOrigin.BACKGROUND, TagOrigin.DARK]
-
-    seeds = np.random.SeedSequence(seed).spawn(8)
-    dark_seeds = seeds[7].spawn(2)
+        run_session(plan, sink=sink)
+    # Per slice and side, one merge of both noise processes, then dead time.
+    # Session streams hardly ever hold equal times, so the tie order
+    # (stream, background, dark) is pinned here by the order of the
+    # processes passed to the merge.
     detector = topo.detector
     arm = topo.users["alice"]
-    pair_tags = sample_pair_tags(topo.source, arm, arm, detector, duration_s, seeds[0])
+    click_rate = topo.source.pair_rate * receiver.link_budget(arm, arm, detector).class_probs.sum()
+    slice_ps = math.ceil(netsim.SLICE_PAIRS / click_rate * 1e12)
+    duration_ps = round(duration_s * 1e12)
+    starts = range(0, duration_ps, slice_ps)
+    assert len(starts) >= 5
+    assert [name for name, _ in calls] == ["add_noise_tags", "apply_dead_time"] * 2 * len(starts)
+    for _, (noise, _) in calls[::2]:
+        assert [origin for _, origin, _ in noise] == [TagOrigin.BACKGROUND, TagOrigin.DARK]
+
     background = background_rate_per_detector(arm.traffic)
     assert background > 0
+    merged = ([], [])
+    next_id = 0
+    for k, start in enumerate(starts):
+        slice_s = (min(start + slice_ps, duration_ps) - start) / 1e12
+        s_pairs, *s_noise = np.random.SeedSequence(seed, spawn_key=(k,)).spawn(5)
+        pair_tags = sample_pair_tags(
+            topo.source, arm, arm, detector, slice_s, s_pairs, start_ps=start, first_pair_id=next_id
+        )
+        next_id = 1 + max(int(tags.pair_ids.max()) for tags in pair_tags)
+        for side, tags in enumerate(pair_tags):
+            noise = [
+                (background, TagOrigin.BACKGROUND, s_noise[side]),
+                (detector.dark_cps, TagOrigin.DARK, s_noise[2 + side]),
+            ]
+            merged[side].append(noise_merge_reference(tags, noise, slice_s, start))
     dead_ps = round(detector.dead_time_ns * 1000)
-    for tags, got, bg_seed, dark_seed in zip(
-        pair_tags, (artifacts.tags_a, artifacts.tags_b), seeds[5:7], dark_seeds
-    ):
-        noise = [
-            (background, TagOrigin.BACKGROUND, bg_seed),
-            (detector.dark_cps, TagOrigin.DARK, dark_seed),
-        ]
-        merged = noise_merge_reference(tags, noise, duration_s)
-        kept = dead_time_reference(merged.times_ps.tolist(), merged.detectors.tolist(), dead_ps)
+    for parts, got in zip(merged, sink.streams()):
+        whole = TagStream.concat(parts).sorted_by_time()
+        kept = dead_time_reference(whole.times_ps.tolist(), whole.detectors.tolist(), dead_ps)
         # Noise and dead time both act: some noise tags are kept and some
         # tags are dropped.
-        assert 0 < len(kept) < len(merged)
+        assert 0 < len(kept) < len(whole)
         assert np.count_nonzero(got.origins != TagOrigin.PAIR) > 0
-        assert_streams_equal(got, merged.take(kept))
+        assert_streams_equal(got, whole.take(kept))
 
 
 def test_short_arm_qber_band():
@@ -198,18 +226,16 @@ def test_zero_length_arms_filter_with_warning():
     # With no fiber there is no mode delay: the mode filter warns that it
     # cannot separate the modes and keeps the central coincidence window.
     topo = _topology(length_km=0.0, traffic=_dark())
+    sink = SessionSink()
     with pytest.warns(ModeFilterWarning):
         report, artifacts = run_session(
-            schedule_session(topo, "alice", "bob", 1.0, seed=5)
+            schedule_session(topo, "alice", "bob", 1.0, seed=5), sink=sink
         )
-    records = artifacts.records
+    records, filtered = sink.records()
     half = topo.coincidence_window_ps // 2
     expected = records.take(np.abs(records.delta) <= half)
     assert len(expected) > 0
-    for name in ("times_a", "times_b", "det_a", "det_b", "delta", "idx_a", "idx_b"):
-        assert np.array_equal(
-            getattr(artifacts.filtered_records, name), getattr(expected, name)
-        )
+    assert_records_equal(filtered, expected)
     assert artifacts.mode_filter_ambiguous
     assert report.retained_fraction == len(expected) / len(records)
 
@@ -274,7 +300,7 @@ def test_report_invariants():
     assert report.asymptotic_rate <= report.sifted_rate
     assert report.finite_length <= report.sifted_bits
     assert 0.0 <= report.retained_fraction <= 1.0
-    assert report.sifted_bits <= len(artifacts.filtered_records)
+    assert report.sifted_bits <= sum(counts.retained for counts in artifacts.slices)
     assert report.length_km_per_arm == 2.0
 
 

@@ -272,26 +272,20 @@ def test_sampler_edge_cases_give_valid_streams(
     .filter(lambda w: sum(w) > 0),
     n=st.integers(0, 3_000),
     seed=st.integers(0, 2**32 - 1),
-    chunk=st.sampled_from([1, 7, 1_000, receiver._SCRATCH_CHUNK]),
 )
-def test_class_draw_equals_generator_choice(weights, n, seed, chunk):
-    # Uniforms drawn a chunk at a time are the stream of one draw of n.
+def test_class_draw_equals_generator_choice(weights, n, seed):
     p = np.array(weights) / sum(weights)
     ours, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(receiver, "_SCRATCH_CHUNK", chunk)
-        classes = receiver._draw_classes(ours, p, n)
+    classes = receiver._draw_classes(ours, p, n)
     assert classes.dtype == np.int8
     assert np.array_equal(classes, numpys.choice(p.size, size=n, p=p))
     # The generator is left where choice leaves it.
     assert ours.random() == numpys.random()
 
 
-def test_sampler_equal_times_keep_pair_order(monkeypatch):
+def test_sampler_equal_times_keep_pair_order():
     # Without jitter, 2,000 pairs over 1,000 emission ticks collide, and
-    # second-order photons (220 ps late) land on other pairs' ticks. A
-    # small chunk takes the class draw through many chunks.
-    monkeypatch.setattr(receiver, "_SCRATCH_CHUNK", 7)
+    # second-order photons (220 ps late) land on other pairs' ticks.
     arm = ChannelConfig(length_km=0.1, second_mode_fraction=1.0)
     detector = DetectorParams(efficiency=1.0, jitter_sigma_ps=0.0, second_mode_rejection_db=0.0)
     source = SourceParams(pair_rate=2e12)

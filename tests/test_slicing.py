@@ -1,0 +1,387 @@
+"""Sessions run in slices of source time: each slice's draws, the state
+carried across slice boundaries, and the loud failures of the slicing.
+
+The oracle for every case is the whole-stream pipeline: the same per-slice
+draws of pair tags and noise, concatenated and stably sorted by time, then
+``apply_dead_time``, ``find_offset`` on the same prefix,
+``match_coincidences``, ``temporal_mode_filter`` and ``sift``.
+"""
+
+import math
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from conftest import (
+    DENSE_ARM,
+    DENSE_SOURCE,
+    SessionSink,
+    assert_records_equal,
+    assert_streams_equal,
+    traced_peak,
+)
+from fiberqkd import netsim, receiver, tagproc
+from fiberqkd.channel import (
+    ChannelConfig,
+    ClassicalTraffic,
+    TrafficDirection,
+    background_rate_per_detector,
+)
+from fiberqkd.distill import SiftTally, sift
+from fiberqkd.netsim import SliceOrderError, Topology, run_session, schedule_session
+from fiberqkd.pairgen import PS_PER_SECOND, SourceParams
+from fiberqkd.receiver import DetectorParams, TagOrigin, TagStream
+from fiberqkd.tagproc import ModeFilterWarning
+
+ACTIVE = ClassicalTraffic(direction=TrafficDirection.COUNTER_PROPAGATING)
+DARK = ClassicalTraffic(direction=TrafficDirection.NONE)
+
+
+def _topology(arm_a, arm_b, pair_rate=4e5, detector=None):
+    return Topology(
+        users=[("alice", arm_a), ("bob", arm_b)],
+        source=SourceParams(pair_rate=pair_rate, intrinsic_visibility=0.95),
+        detector=detector,
+    )
+
+
+def _slice_ps(topo, plan) -> int:
+    budget = receiver.link_budget(plan.config_a, plan.config_b, topo.detector)
+    click_rate = topo.source.pair_rate * budget.class_probs.sum()
+    duration_ps = round(plan.duration_s * PS_PER_SECOND)
+    if click_rate == 0:
+        return duration_ps
+    return min(duration_ps, math.ceil(netsim.SLICE_PAIRS / click_rate * PS_PER_SECOND))
+
+
+def _slices(topo, plan):
+    """(start, stop, frontier) of each slice; the frontier is None for the
+    last slice."""
+    duration_ps = round(plan.duration_s * PS_PER_SECOND)
+    slice_ps = _slice_ps(topo, plan)
+    reach = math.ceil(netsim._JITTER_REACH * topo.detector.jitter_sigma_ps)
+    for start in range(0, duration_ps, slice_ps):
+        stop = min(start + slice_ps, duration_ps)
+        yield start, stop, stop - reach if stop < duration_ps else None
+
+
+def _drawn_slices(topo, plan):
+    """Each slice's fresh tags per side, drawn from the slice's seeds as
+    the session draws them: its pair tags, then both noise processes."""
+    det = topo.detector
+    fresh = ([], [])
+    next_id = 0
+    for k, (start, stop, _) in enumerate(_slices(topo, plan)):
+        slice_s = (stop - start) / PS_PER_SECOND
+        s_pairs, *s_noise = np.random.SeedSequence(plan.seed, spawn_key=(k,)).spawn(5)
+        pair_tags = receiver.sample_pair_tags(
+            topo.source,
+            plan.config_a,
+            plan.config_b,
+            det,
+            slice_s,
+            s_pairs,
+            start_ps=start,
+            first_pair_id=next_id,
+        )
+        next_id = 1 + max(
+            [next_id - 1] + [int(tags.pair_ids.max()) for tags in pair_tags if len(tags)]
+        )
+        for side, (tags, cfg) in enumerate(zip(pair_tags, (plan.config_a, plan.config_b))):
+            noise = [
+                (background_rate_per_detector(cfg.traffic), TagOrigin.BACKGROUND, s_noise[side]),
+                (det.dark_cps, TagOrigin.DARK, s_noise[2 + side]),
+            ]
+            fresh[side].append(receiver.add_noise_tags(tags, noise, slice_s, start_ps=start))
+    return fresh
+
+
+def _whole_stream(topo, plan, fresh, offset=None):
+    """The whole-stream pipeline on the per-slice ``fresh`` tags: (streams,
+    offset, wide-window records, filtered records)."""
+    det = topo.detector
+    streams = [
+        receiver.apply_dead_time(TagStream.concat(parts).sorted_by_time(), det.dead_time_ns)
+        for parts in fresh
+    ]
+    if offset is None:
+        # Offset recovery reads the tags before the first frontier that has
+        # at least find_offset's fine-stage count of A tags before it.
+        prefix = streams
+        for _, _, frontier in _slices(topo, plan):
+            if frontier is not None and np.count_nonzero(
+                streams[0].times_ps < frontier
+            ) >= tagproc._FINE_SOURCE_TAGS:
+                prefix = [tags.take(tags.times_ps < frontier) for tags in streams]
+                break
+        offset = tagproc.find_offset(*prefix)
+    delays = (plan.config_a.mode_delay_ps, plan.config_b.mode_delay_ps)
+    window = (
+        topo.coincidence_window_ps
+        + 2 * max(delays)
+        + 8 * round(math.hypot(det.jitter_sigma_ps, det.jitter_sigma_ps))
+    )
+    records = tagproc.match_coincidences(*streams, offset, window)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ModeFilterWarning)
+        filtered = tagproc.temporal_mode_filter(
+            records, min(delays), topo.coincidence_window_ps // 2
+        )
+    return streams, offset, records, filtered
+
+
+def _tally(records) -> SiftTally:
+    key = sift(records)
+    return SiftTally(len(key), int(np.count_nonzero(key.bits_a != key.bits_b)))
+
+
+def _assert_session_equals_whole_stream(topo, plan, fresh, offset=None):
+    sink = SessionSink()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ModeFilterWarning)
+        report, artifacts = run_session(plan, sink=sink)
+    streams, offset, records, filtered = _whole_stream(topo, plan, fresh, offset)
+    for got, want in zip(sink.streams(), streams):
+        assert_streams_equal(got, want)
+    got_records, got_filtered = sink.records()
+    assert_records_equal(got_records, records)
+    assert_records_equal(got_filtered, filtered)
+    key = sift(filtered)
+    assert report.offset_ps == offset
+    assert report.sifted_bits == len(key)
+    assert report.qber == key.qber
+    assert report.retained_fraction == len(filtered) / len(records)
+    assert artifacts.wide_sift == _tally(records)
+    assert artifacts.filtered_sift == _tally(filtered)
+    assert [c.start_ps for c in artifacts.slices] == [s for s, _, _ in _slices(topo, plan)]
+    assert sink.calls == len(artifacts.slices)
+    assert sum(c.tags_a for c in artifacts.slices) == len(streams[0])
+    assert sum(c.records for c in artifacts.slices) == len(records)
+    return artifacts
+
+
+# (name, arm A, arm B, pair rate, detector, source seconds, seed). The first
+# two are the benchmark's session workloads.
+ORACLE_CASES = [
+    ("dense_025km", ChannelConfig(0.25, traffic=ACTIVE), None, 4e5, None, 30.0, 1),
+    (
+        "sparse_4km",
+        ChannelConfig(4.0, traffic=ACTIVE),
+        None,
+        4e6,
+        DetectorParams(efficiency=1.0),
+        4.5,
+        1,
+    ),
+    (
+        "asymmetric_025_6km",
+        ChannelConfig(0.25, traffic=ACTIVE),
+        ChannelConfig(6.0, traffic=ACTIVE),
+        4e5,
+        None,
+        10.0,
+        2,
+    ),
+    ("zero_length", ChannelConfig(0.0, traffic=DARK), None, 4e5, None, 6.0, 3),
+    ("dark_1km", ChannelConfig(1.0, traffic=DARK), None, 4e5, None, 10.0, 4),
+]
+
+
+@pytest.mark.parametrize(
+    "name, arm_a, arm_b, pair_rate, detector, duration_s, seed",
+    ORACLE_CASES,
+    ids=[case[0] for case in ORACLE_CASES],
+)
+def test_session_equals_whole_stream_pipeline(
+    name, arm_a, arm_b, pair_rate, detector, duration_s, seed
+):
+    topo = _topology(arm_a, arm_b or arm_a, pair_rate, detector)
+    plan = schedule_session(topo, "alice", "bob", duration_s, seed)
+    artifacts = _assert_session_equals_whole_stream(topo, plan, _drawn_slices(topo, plan))
+    assert len(artifacts.slices) >= 3
+
+
+@pytest.mark.parametrize(
+    "name, arm_a, arm_b, pair_rate, detector",
+    [case[:5] for case in ORACLE_CASES],
+    ids=[case[0] for case in ORACLE_CASES],
+)
+def test_session_equals_whole_stream_pipeline_in_short_slices(
+    monkeypatch, name, arm_a, arm_b, pair_rate, detector
+):
+    # 2^11 clicking pairs per slice: dozens of slices in 2 s, so that
+    # dead-time runs, waiting tags and matcher runs meet many boundaries.
+    # With offset recovery (and its fine stage) on 2^14 A tags, matching
+    # runs slice by slice after a prefix of several slices.
+    monkeypatch.setattr(netsim, "SLICE_PAIRS", 1 << 11)
+    monkeypatch.setattr(tagproc, "_FINE_SOURCE_TAGS", 1 << 14)
+    topo = _topology(arm_a, arm_b or arm_a, pair_rate, detector)
+    plan = schedule_session(topo, "alice", "bob", 2.0, seed=7)
+    artifacts = _assert_session_equals_whole_stream(topo, plan, _drawn_slices(topo, plan))
+    assert len(artifacts.slices) >= 20
+    assert sum(c.records > 0 for c in artifacts.slices) >= 5
+
+
+def test_slice_seeds_follow_the_slice_index():
+    # Slice k draws from SeedSequence(seed, spawn_key=(k,)), which is the
+    # k-th child that SeedSequence(seed).spawn() hands out.
+    children = np.random.SeedSequence(99).spawn(3)
+    for k, child in enumerate(children):
+        again = np.random.SeedSequence(99, spawn_key=(k,))
+        assert np.array_equal(child.generate_state(4), again.generate_state(4))
+
+
+def test_pair_ids_run_on_across_slices(monkeypatch):
+    # Without dead time every drawn pair keeps its tags.
+    monkeypatch.setattr(netsim, "SLICE_PAIRS", 1 << 12)
+    topo = _topology(
+        DENSE_ARM, DENSE_ARM, DENSE_SOURCE.pair_rate, DetectorParams(dead_time_ns=0.0)
+    )
+    sink = SessionSink()
+    with pytest.warns(ModeFilterWarning):
+        _, artifacts = run_session(schedule_session(topo, "alice", "bob", 0.3, seed=8), sink=sink)
+    tags_a, tags_b = sink.streams()
+    ids = np.union1d(tags_a.pair_ids[tags_a.pair_ids >= 0], tags_b.pair_ids[tags_b.pair_ids >= 0])
+    # Every drawn pair clicks somewhere, and one counter numbers them all.
+    assert np.array_equal(ids, np.arange(sum(c.pairs for c in artifacts.slices)))
+    assert len(artifacts.slices) > 10
+
+
+# Arms of zero length (no delays), no noise, and slices of about 100 us:
+# the synthetic tags below sit within 30 ns of slice boundaries, so that
+# dead-time runs and matcher runs (7.7 ns windows) cross them.
+QUIET_ARM = ChannelConfig(length_km=0.0, traffic=DARK)
+REACH_PS = math.ceil(netsim._JITTER_REACH * DetectorParams().jitter_sigma_ps)
+
+
+def _quiet_topology(dead_time_ns):
+    detector = DetectorParams(dark_cps=0.0, dead_time_ns=dead_time_ns)
+    budget = receiver.link_budget(QUIET_ARM, QUIET_ARM, detector)
+    # One expected clicking pair per 100 us.
+    pair_rate = 1e4 / budget.class_probs.sum()
+    return _topology(QUIET_ARM, QUIET_ARM, pair_rate, detector)
+
+
+def _synthetic_sampler(data, fresh):
+    """A stand-in for ``sample_pair_tags`` that returns tags drawn by
+    hypothesis near the slice's two ends, and from the middle of the first
+    slice on 100 error-free pairs 100 ns apart, and records each slice's
+    tags in ``fresh``."""
+    # From the jitter reach before the start to 30 ns after it, and from
+    # 30 ns before the end to the reach after it, in 2.5 ns steps, half of
+    # them within the reach of the boundary, and some moved by a half or a
+    # whole match window (3,828 ps) or one tick more.
+    nudge = st.sampled_from([0, 0, 0, 0, 1250, -1250, 3828, -3828, 3829, -3829])
+    step = st.one_of(st.integers(-2, 2), st.integers(-2, 12))
+    steps = st.builds(lambda j, d: 2500 * j + d, step, nudge).filter(lambda t: t >= -REACH_PS)
+
+    def sample(source, config_a, config_b, detector, duration_s, seed, qber_drift_per_s=0.0,
+               *, start_ps=0, first_pair_id=0):
+        stop = start_ps + round(duration_s * PS_PER_SECOND)
+        near_ends = st.one_of(steps.map(lambda t: start_ps + t), steps.map(lambda t: stop - t))
+        streams = []
+        for side in range(2):
+            drawn = data.draw(st.lists(st.tuples(near_ends, st.integers(0, 3)), max_size=10))
+            if start_ps == 0:
+                drawn += [((start_ps + stop) // 2 + 100_000 * i, 0) for i in range(100)]
+            first = first_pair_id + (len(streams[0]) if streams else 0)
+            streams.append(
+                TagStream(
+                    times_ps=np.array([t for t, _ in drawn], dtype=np.int64).reshape(-1),
+                    detectors=np.array([d for _, d in drawn], dtype=np.int8).reshape(-1),
+                    origins=np.zeros(len(drawn), dtype=np.int8),
+                    pair_ids=np.arange(first, first + len(drawn), dtype=np.int32),
+                    modes=np.zeros(len(drawn), dtype=np.int8),
+                ).sorted_by_time()
+            )
+        for held, tags in zip(fresh, streams):
+            held.append(tags)
+        return tuple(streams)
+
+    return sample
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    data=st.data(),
+    n_slices=st.integers(1, 4),
+    last_fraction=st.sampled_from([0.01, 0.5, 1.0]),
+    dead_time_ns=st.sampled_from([0.0, 8.0, 50.0]),
+)
+def test_slice_boundaries_equal_whole_stream(data, n_slices, last_fraction, dead_time_ns):
+    # Covers equal times on both sides of a boundary, dead-time and matcher
+    # runs across one, empty slices (a slice may draw no tags), a session
+    # shorter than one slice (one slice, last_fraction < 1) and a duration
+    # that is not a whole number of slices.
+    topo = _quiet_topology(dead_time_ns)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(netsim, "SLICE_PAIRS", 1)
+        probe = schedule_session(topo, "alice", "bob", 1.0, seed=0)
+        slice_ps = _slice_ps(topo, probe)
+        netsim.release_session(probe)
+        duration_ps = (n_slices - 1) * slice_ps + max(1, round(last_fraction * slice_ps))
+        plan = schedule_session(topo, "alice", "bob", duration_ps / PS_PER_SECOND, seed=0)
+        fresh = ([], [])
+        patch.setattr(receiver, "sample_pair_tags", _synthetic_sampler(data, fresh))
+        # A fixed offset, and matching that starts after the first slice
+        # with an A tag, so that later slices match one by one.
+        patch.setattr(tagproc, "find_offset", lambda tags_a, tags_b: 0)
+        patch.setattr(tagproc, "_FINE_SOURCE_TAGS", 1)
+        artifacts = _assert_session_equals_whole_stream(topo, plan, fresh, offset=0)
+    assert len(artifacts.slices) == n_slices
+
+
+def test_tag_behind_the_processed_frontier_raises(monkeypatch):
+    # A tag of a later slice whose jitter takes it past the jitter reach
+    # before the slice's start would land among tags already processed:
+    # the session raises rather than drop or misorder it.
+    monkeypatch.setattr(netsim, "SLICE_PAIRS", 1 << 12)
+    reach = math.ceil(netsim._JITTER_REACH * DetectorParams().jitter_sigma_ps)
+    sample = receiver.sample_pair_tags
+    late = []
+
+    def far_jitter(*args, start_ps=0, **kwargs):
+        tags_a, tags_b = sample(*args, start_ps=start_ps, **kwargs)
+        if start_ps > 0 and len(tags_a):
+            tags_a.times_ps[0] = start_ps - reach - 1
+            late.append(start_ps)
+        return tags_a, tags_b
+
+    monkeypatch.setattr(receiver, "sample_pair_tags", far_jitter)
+    topo = _topology(DENSE_ARM, DENSE_ARM, DENSE_SOURCE.pair_rate)
+    with pytest.raises(SliceOrderError, match="behind"):
+        run_session(schedule_session(topo, "alice", "bob", 0.1, seed=9))
+    assert len(late) == 1
+    # The source is free again.
+    netsim.release_session(schedule_session(topo, "alice", "bob", 0.1, seed=10))
+
+
+def test_slice_shorter_than_the_holdover_raises(monkeypatch):
+    # At 1e12 pairs/s a slice of 2^19 clicking pairs lasts about 1 us, less
+    # than the time a tag can wait past its slice (the 50 us offset search
+    # span alone): the session refuses before drawing anything.
+    drawn = []
+    monkeypatch.setattr(receiver, "sample_pair_tags", lambda *a, **k: drawn.append(a))
+    topo = _topology(DENSE_ARM, DENSE_ARM, pair_rate=1e12)
+    with pytest.raises(ValueError, match="shorter than the .* ps a tag can wait"):
+        run_session(schedule_session(topo, "alice", "bob", 1e-3, seed=1))
+    assert drawn == []
+
+
+def test_session_peak_memory_is_set_by_a_slice():
+    # dense_025km settings: nine times the source time may raise the traced
+    # peak by at most 10%.
+    topo = _topology(
+        ChannelConfig(0.25, traffic=ACTIVE), ChannelConfig(0.25, traffic=ACTIVE), 4e5
+    )
+    peaks = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ModeFilterWarning)
+        for duration_s in (10.0, 90.0):
+            plan = schedule_session(topo, "alice", "bob", duration_s, seed=3)
+            (_, artifacts), peaks[duration_s] = traced_peak(run_session, plan)
+            assert sum(c.tags_a for c in artifacts.slices) > duration_s * 1e5
+    assert peaks[90.0] <= 1.1 * peaks[10.0], peaks
