@@ -162,8 +162,8 @@ def schedule_session(
             raise UnknownUserError(f"unknown user {name!r}")
     if user_a == user_b:
         raise ValueError(f"cannot pair user {user_a!r} with itself")
-    if not (math.isfinite(duration_s) and duration_s > 0):
-        raise ValueError(f"duration_s must be finite and > 0, got {duration_s}")
+    if not (math.isfinite(duration_s) and round(duration_s * PS_PER_SECOND) >= 1):
+        raise ValueError(f"duration_s must be finite and at least 1 ps, got {duration_s}")
     plan = SessionPlan(
         topology=topology,
         user_a=user_a,
@@ -207,16 +207,16 @@ def run_session(
     less that reach is final; the later tags wait for the next slice,
     and a tag of a later slice behind the frontier raises
     ``SliceOrderError``. Final tags go through dead time, which carries
-    each detector's last kept tags on. The clock offset is recovered from
-    the final tags of the first slices, up to the one that brings A to
-    as many tags as ``find_offset``'s fine stage reads. Matching then
-    takes the final A tags whose window closes before the frontier and
-    carries the rest, and the B tags after the last matched pick, on to
-    the next slice; the mode filter and the sift tallies run on each
-    slice's records. Every tag, record and report equals what the
-    whole-stream stage functions give on the per-slice draws
-    concatenated and stably sorted by time, with offset recovery on the
-    same prefix. Deterministic under the plan seed.
+    each detector's last kept tags on. The matcher holds the final tags of
+    the first slices until A has as many as ``find_offset``'s fine stage
+    reads (or the last slice arrives), recovers the clock offset from
+    them, and from then on takes the final A tags whose window closes
+    before the frontier and carries the rest, and the B tags after the
+    last matched pick, on to the next slice; the mode filter and the
+    sift tallies run on each slice's records. Every tag, record and
+    report equals what the whole-stream stage functions give on the
+    per-slice draws concatenated and stably sorted by time, with offset
+    recovery on the same prefix. Deterministic under the plan seed.
 
     ``sink``, when given, is called once per slice as ``sink(tags_a,
     tags_b, records, filtered)`` with each side's tags that became final
@@ -265,9 +265,7 @@ def run_session(
             for cfg in (plan.config_a, plan.config_b)
         ]
         sides = [_SideSlicer(det.dead_time_ns), _SideSlicer(det.dead_time_ns)]
-        # Final tags held for offset recovery, per side.
-        prefix_parts: tuple[list, list] = ([], [])
-        matcher = None
+        matcher = _SliceMatcher(match_window)
         slices = []
         wide_sift = filtered_sift = distill.SiftTally()
         next_id = 0
@@ -306,21 +304,8 @@ def run_session(
                 for side, (bg, dark), s_bg, s_dark in zip(sides, noise, s_noise[:2], s_noise[2:])
             ]
 
-            records = filtered = None
-            if matcher is None:
-                prefix_parts[0].append(final[0])
-                prefix_parts[1].append(final[1])
-                if (
-                    frontier is None
-                    or sum(map(len, prefix_parts[0])) >= tagproc._FINE_SOURCE_TAGS
-                ):
-                    prefix = [TagStream.concat(parts) for parts in prefix_parts]
-                    prefix_parts = ([], [])
-                    matcher = _SliceMatcher(tagproc.find_offset(*prefix), match_window)
-                    records = matcher.feed(*prefix, frontier)
-                    del prefix
-            else:
-                records = matcher.feed(*final, frontier)
+            records = matcher.feed(*final, frontier)
+            filtered = None
             if records is not None:
                 filtered = tagproc.temporal_mode_filter(records, min_delay, reject_half_width)
                 wide_sift += distill.sift_tally(records)
@@ -416,27 +401,29 @@ class _SideSlicer:
 
 class _SliceMatcher:
     """``tagproc.match_coincidences`` over two streams that become final
-    slice by slice.
+    slice by slice, at the clock offset that ``tagproc.find_offset``
+    recovers from their first tags.
 
-    An A tag is matched once its window closes before the frontier, since
-    every B tag in it is final then. The A tags not yet matched wait, and
-    so do the B tags after the last matched pick that a waiting or later A
-    tag's window can still reach; the greedy scan of the whole streams
-    picks from these B tags alone, so each call starts where that scan
-    stands.
+    Every final tag waits until A holds as many tags as ``find_offset``'s
+    fine stage reads, or until the last slice; the offset is recovered
+    from those tags, and matching starts on them. From then on an A tag is
+    matched once its window closes before the frontier, since every B tag
+    in it is final then. The A tags not yet matched wait, and so do the B
+    tags after the last matched pick that a waiting or later A tag's
+    window can still reach; the greedy scan of the whole streams picks
+    from these B tags alone, so each call starts where that scan stands.
     """
 
-    def __init__(self, offset_ps: int, window_ps: int):
-        self.offset_ps = offset_ps
+    def __init__(self, window_ps: int):
         self.window_ps = window_ps
-        self.lower = offset_ps - window_ps // 2
-        self.upper = offset_ps + window_ps // 2
+        self.offset_ps: int | None = None
         self.waiting = [TagStream.empty(), TagStream.empty()]
         self.base = [0, 0]  # session index of each side's first waiting tag
 
     def feed(self, tags_a: TagStream, tags_b: TagStream, frontier: int | None):
         """The records of the A tags that the final ``tags_a`` and ``tags_b``
-        decide, with ``frontier`` as in ``_SideSlicer.advance``."""
+        decide, with ``frontier`` as in ``_SideSlicer.advance``; None while
+        the tags wait for offset recovery."""
         a, b = (TagStream.concat(pair) for pair in zip(self.waiting, (tags_a, tags_b)))
         for side, base, tags in zip("AB", self.base, (a, b)):
             if base + len(tags) > MAX_TAGS:
@@ -444,6 +431,13 @@ class _SliceMatcher:
                     f"stream {side} holds more than the {MAX_TAGS} tags that int32 "
                     "indices reach"
                 )
+        if self.offset_ps is None:
+            if frontier is not None and len(a) < tagproc._FINE_SOURCE_TAGS:
+                self.waiting = [a, b]
+                return None
+            self.offset_ps = tagproc.find_offset(a, b)
+            self.lower = self.offset_ps - self.window_ps // 2
+            self.upper = self.offset_ps + self.window_ps // 2
         n = len(a)
         if frontier is not None:
             n = int(np.searchsorted(a.times_ps, frontier - self.upper))

@@ -221,12 +221,14 @@ def sample_pair_tags(
     slice's start tick ``start_ps`` and its first pair id. The clicking
     pairs are numbered ``first_pair_id`` onward in emission order, and a
     tag's ``pair_ids`` entry is its pair's number, shared by both sides;
-    ``modes`` is 1 for a second-order photon. Every drawn array is as long
-    as the drawn count, so memory follows the count. Deterministic under
-    ``seed``; the draw order is count, ticks, classes, basis and outcome
-    on A, basis and outcome on B, correlation flips, jitter on A, jitter
-    on B. Raises ValueError, before any array is drawn, when the pair
-    numbers would pass the 2**31 - 1 that the int32 ``pair_ids`` hold.
+    ``modes`` is 1 for a second-order photon. Each side's tags are sorted
+    by one stable argsort of their arrival times, so pairs at equal times
+    keep emission order. Every drawn array is as long as the drawn count,
+    so memory follows the count. Deterministic under ``seed``; the draw
+    order is count, ticks, classes, basis and outcome on A, basis and
+    outcome on B, correlation flips, jitter on A, jitter on B. Raises
+    ValueError, before any array is drawn, when the pair numbers would
+    pass the 2**31 - 1 that the int32 ``pair_ids`` hold.
     """
     if not (math.isfinite(duration_s) and duration_s > 0):
         raise ValueError(f"duration_s must be finite and > 0, got {duration_s}")
@@ -246,8 +248,9 @@ def sample_pair_tags(
         start_ps, start_ps + int(round(duration_s * PS_PER_SECOND)), size=n, dtype=np.int64
     )
     emitted.sort()
-    idx, second, detectors = _draw_outcomes(
-        rng, source, budget, probs / p_click, emitted, qber_drift_per_s
+    # Lists, so that each unsorted column goes once its sorted copy exists.
+    idx, second, detectors = map(
+        list, _draw_outcomes(rng, source, budget, probs / p_click, emitted, qber_drift_per_s)
     )
     # Both sides' times are gathered before the jitter draws, so that the
     # n emission ticks are freed before either side's jitter is drawn.
@@ -272,17 +275,20 @@ def sample_pair_tags(
             )
             # Free this side's jitter before the next side draws its own.
             del jitter
+        order = np.argsort(side_times, kind="stable")
+        side_times.sort(kind="stable")
+        for column in (idx, detectors, second):
+            column[side] = column[side][order]
+        del order
         ids = idx[side]
         ids += first_pair_id
         streams.append(
-            _sort_fresh(
-                TagStream(
-                    times_ps=side_times,
-                    detectors=detectors[side],
-                    origins=np.full(side_times.size, TagOrigin.PAIR, dtype=np.int8),
-                    pair_ids=ids,
-                    modes=second[side].view(np.int8),
-                )
+            TagStream(
+                times_ps=side_times,
+                detectors=detectors[side],
+                origins=np.full(side_times.size, TagOrigin.PAIR, dtype=np.int8),
+                pair_ids=ids,
+                modes=second[side].view(np.int8),
             )
         )
     return streams[0], streams[1]
@@ -337,63 +343,6 @@ def _draw_classes(rng: np.random.Generator, p: np.ndarray, n: int) -> np.ndarray
     for edge in cdf[:-1]:
         classes += u >= edge
     return classes
-
-
-def _sort_fresh(stream: TagStream) -> TagStream:
-    """Sort ``stream`` by time in place, as a stable argsort would. Only the
-    tags near a descent are rewritten, so the arrays must be its own.
-
-    A descent is a tag later than the tag after it; between descents the
-    times run in order. Wherever no tag before a point is later than a tag
-    after it, the stream splits into segments that sort apart, and only
-    the segments that hold a descent need sorting. A descent's segment
-    reaches back over the tags of the run before it that are later than
-    the earliest tag of any later run, and on over the tags of the run
-    after it that are earlier than the latest tag of any earlier run. All
-    these segments are gathered and stable-sorted together, since no tag
-    of one is later than a tag of a segment after it.
-    """
-    times = stream.times_ps
-    descents = np.flatnonzero(times[1:] < times[:-1])
-    if descents.size == 0:
-        return stream
-    starts = np.concatenate(([0], descents + 1))
-    ends = np.concatenate((descents + 1, [times.size]))
-    # For the runs after the first: the latest time of the runs before.
-    latest_before = np.maximum.accumulate(times[descents])
-    # For the runs before the last: the earliest time of the runs after.
-    earliest_after = np.minimum.accumulate(times[descents[::-1] + 1])[::-1]
-    # The tags of descent i's segment run from first[i] in the run before
-    # it to last[i] in the run after, cut where the next segment begins.
-    first = _run_search(times, starts[:-1], ends[:-1], earliest_after, "right")
-    last = _run_search(times, starts[1:], ends[1:], latest_before, "left")
-    np.minimum(last[:-1], first[1:], out=last[:-1])
-    sizes = last - first
-    at = np.repeat(first - (np.cumsum(sizes) - sizes), sizes)
-    at += np.arange(at.size)
-    source = at[np.argsort(times[at], kind="stable")]
-    for column in (
-        stream.times_ps, stream.detectors, stream.origins, stream.pair_ids, stream.modes
-    ):
-        column[at] = column[source]
-    return stream
-
-
-def _run_search(times, starts, ends, values, side: str) -> np.ndarray:
-    """``starts + np.searchsorted(times[starts:ends], values, side)`` for
-    each run of ``times`` between ``starts`` and ``ends``, in order, as one
-    bisection over all the runs together."""
-    lo, hi = starts.copy(), ends.copy()
-    while True:
-        active = lo < hi
-        if not active.any():
-            return lo
-        mid = (lo + hi) // 2
-        probe = times[np.where(active, mid, 0)]
-        below = probe <= values if side == "right" else probe < values
-        below &= active
-        lo = np.where(below, mid + 1, lo)
-        hi = np.where(active & ~below, mid, hi)
 
 
 def add_noise_tags(

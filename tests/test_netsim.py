@@ -80,6 +80,16 @@ def test_schedule_rejects_unknown_user():
         schedule_session(topo, "alice", "mallory", duration_s=1.0, seed=1)
 
 
+@pytest.mark.parametrize("duration_s", [4e-13, 0.0, -1.0, math.inf, math.nan])
+def test_schedule_rejects_less_than_one_tick(duration_s):
+    # 0.4 ps rounds to a session of no tick, which has no slice to run.
+    topo = _topology()
+    with pytest.raises(ValueError, match="duration_s"):
+        schedule_session(topo, "alice", "bob", duration_s, seed=1)
+    # The source was not taken.
+    release_session(schedule_session(topo, "alice", "bob", duration_s=1e-12, seed=1))
+
+
 def test_second_session_rejected_while_active():
     topo = _topology()
     plan = schedule_session(topo, "alice", "bob", duration_s=1.0, seed=1)
