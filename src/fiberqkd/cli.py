@@ -97,6 +97,8 @@ class ExperimentConfig:
             )
         if not (0.0 < self.epsilon < 1.0):
             raise ValueError(f"security_epsilon must be in (0, 1), got {self.epsilon}")
+        if not math.isfinite(self.qber_drift_per_s):
+            raise ValueError(f"qber_drift_per_s must be finite, got {self.qber_drift_per_s}")
 
     def resolved_lengths_km(self) -> list[float]:
         if self.lengths_km is not None:
@@ -258,9 +260,17 @@ def run_experiment(config: ExperimentConfig) -> dict[str, Path]:
         f"duration_s: {config.duration_s}",
         f"repetitions: {config.repetitions}",
     ]
-    run = _run_extrapolation if config.scenario == "extrapolation" else _run_sessions
-    outputs = run(config, out_dir, summary)
-
+    if config.scenario == "extrapolation":
+        rows, outputs = _run_extrapolation(config), {}
+    else:
+        rows, outputs = _run_sessions(config, out_dir)
+    summary += [_SUMMARY_LINES[config.scenario].format(**row) for row in rows]
+    for stem, columns in _TABLES[config.scenario].items():
+        outputs[stem] = emit_csv(
+            [{name: row[name] for name in columns} for row in rows],
+            out_dir / f"{stem}.csv",
+            list(columns),
+        )
     summary_path = out_dir / "summary.txt"
     summary_path.write_text("\n".join(summary) + "\n", encoding="utf-8")
     outputs["summary"] = summary_path
@@ -294,8 +304,8 @@ def _grid(config: ExperimentConfig) -> list[tuple[tuple[int, ...], dict, Channel
     return [((), {"length_km": lengths[0]}, _channel_for(config, lengths[0], config.traffic))]
 
 
-# One summary line per point, formatted from the point's aggregate row and
-# its last report.
+# One summary line per point, formatted from the point's row; the row's
+# ``report`` is the point's last report.
 _SUMMARY_LINES = {
     "single_run": (
         "single_run length_km={length_km} qber={report.qber:.6f} "
@@ -308,8 +318,12 @@ _SUMMARY_LINES = {
         "asymptotic_rate_mean={asymptotic_rate_mean:.3f}"
     ),
     "traffic_sweep": "traffic_mbps={traffic_mbps} qber_mean={qber_mean:.6f}",
+    "extrapolation": (
+        "extrapolation length_km={length_km_per_arm} qber={report.qber:.6f} "
+        "asymptotic_rate={report.asymptotic_rate:.3f}"
+    ),
 }
-# Aggregate CSVs of each session scenario: file stem -> columns.
+# The CSVs of each scenario, made from its rows: file stem -> columns.
 _TABLES = {
     "single_run": {},
     "length_sweep": {
@@ -323,6 +337,12 @@ _TABLES = {
         "qber_vs_traffic": (
             "traffic_mbps", "length_km", "repetitions", "qber_mean", "qber_sem",
             "sifted_bits_mean",
+        ),
+    },
+    "extrapolation": {
+        "extrapolation": (
+            "length_km_per_arm", "pair_rate", "sifted_rate", "qber", "asymptotic_rate",
+            "finite_length", "n_required",
         ),
     },
 }
@@ -340,9 +360,10 @@ def _aggregate(reports: list[KeyRateReport]) -> dict[str, float]:
     return row
 
 
-def _run_sessions(config, out_dir: Path, summary: list[str]) -> dict[str, Path]:
+def _run_sessions(config, out_dir: Path) -> tuple[list[dict], dict[str, Path]]:
     """Run each grid point ``repetitions`` times (once for single_run); repetition
-    ``rep`` runs at the seed derived from the master seed, the point's key and ``rep``."""
+    ``rep`` runs at the seed derived from the master seed, the point's key and ``rep``.
+    Returns one row per point and the files written: ``reports.csv`` and any dumps."""
     points = _grid(config)
     source = SourceParams(config.pair_rate, config.intrinsic_visibility)
     repetitions = 1 if config.scenario == "single_run" else config.repetitions
@@ -368,18 +389,13 @@ def _run_sessions(config, out_dir: Path, summary: list[str]) -> dict[str, Path]:
                 )[0]
                 reports.append(report)
                 report_rows.append(report.csv_row())
-            rows.append({**labels, "repetitions": repetitions, **_aggregate(reports)})
-            summary.append(_SUMMARY_LINES[config.scenario].format(**rows[-1], report=report))
-    for stem, columns in _TABLES[config.scenario].items():
-        outputs[stem] = emit_csv(
-            [{name: row[name] for name in columns} for row in rows],
-            out_dir / f"{stem}.csv",
-            list(columns),
-        )
+            rows.append(
+                {**labels, "repetitions": repetitions, **_aggregate(reports), "report": report}
+            )
     outputs["reports"] = emit_csv(
         report_rows, out_dir / "reports.csv", list(KeyRateReport.CSV_FIELDS)
     )
-    return outputs
+    return rows, outputs
 
 
 def _dump_sink(config, out_dir: Path, files: contextlib.ExitStack, outputs: dict):
@@ -420,7 +436,8 @@ def _dump_sink(config, out_dir: Path, files: contextlib.ExitStack, outputs: dict
     return sink
 
 
-def _run_extrapolation(config, out_dir: Path, summary: list[str]) -> dict[str, Path]:
+def _run_extrapolation(config) -> list[dict]:
+    """One row per length, from ``predict_key_rates``."""
     rows = []
     source = SourceParams(
         pair_rate=config.extrapolation_pair_rate,
@@ -439,21 +456,9 @@ def _run_extrapolation(config, out_dir: Path, summary: list[str]) -> dict[str, P
             epsilon=config.epsilon,
         )
         rows.append(
-            {
-                "length_km_per_arm": length,
-                "pair_rate": config.extrapolation_pair_rate,
-                "sifted_rate": report.sifted_rate,
-                "qber": report.qber,
-                "asymptotic_rate": report.asymptotic_rate,
-                "finite_length": report.finite_length,
-                "n_required": report.n_required,
-            }
+            {**report.csv_row(), "pair_rate": config.extrapolation_pair_rate, "report": report}
         )
-        summary.append(
-            f"extrapolation length_km={length} qber={report.qber:.6f} "
-            f"asymptotic_rate={report.asymptotic_rate:.3f}"
-        )
-    return {"extrapolation": emit_csv(rows, out_dir / "extrapolation.csv")}
+    return rows
 
 
 def main(argv=None) -> int:

@@ -56,7 +56,8 @@ class Topology:
     """Central provider with one pair source and switched arms to users.
 
     The source is a shared resource: at most one session may hold it at a
-    time, enforced across threads.
+    time, enforced across threads. The analysis settings are range-checked
+    here, so that a bad value raises ValueError before any session draws.
     """
 
     def __init__(
@@ -74,6 +75,12 @@ class Topology:
             raise ValueError("topology needs at least 2 users")
         if len(set(names)) != len(names):
             raise ValueError(f"user names must be unique, got {names}")
+        if coincidence_window_ps < 0:
+            raise ValueError(f"coincidence_window_ps must be >= 0, got {coincidence_window_ps}")
+        if not math.isfinite(qber_drift_per_s):
+            raise ValueError(f"qber_drift_per_s must be finite, got {qber_drift_per_s}")
+        # Range-checks ec_inefficiency and epsilon.
+        distill.finite_key_length(1, 0.0, ec_inefficiency, epsilon)
         self.users: dict[str, ChannelConfig] = dict(users)
         self.source = source
         self.detector = detector if detector is not None else DetectorParams()

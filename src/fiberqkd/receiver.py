@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import warnings
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from enum import IntEnum
 
 import numpy as np
@@ -63,7 +63,9 @@ class DetectorParams:
 
 @dataclass(eq=False)
 class TagStream:
-    """Detector clicks of one party, sorted by time.
+    """Detector clicks of one party, sorted by time: one array per field,
+    one entry per tag. The constructor takes the arrays as they are; each
+    field's ``dtype`` metadata is the dtype that the methods below make.
 
     ``pair_ids`` holds, for a pair tag, the id of its pair, which the
     partner's tag of the same pair shares (``sample_pair_tags`` numbers
@@ -73,24 +75,30 @@ class TagStream:
     for noise tags.
     """
 
-    times_ps: np.ndarray   # int64
-    detectors: np.ndarray  # int8, 0..3
-    origins: np.ndarray    # int8, TagOrigin values
-    pair_ids: np.ndarray   # int32
-    modes: np.ndarray      # int8
+    times_ps: np.ndarray = field(metadata={"dtype": np.int64})
+    detectors: np.ndarray = field(metadata={"dtype": np.int8})  # 0..3
+    origins: np.ndarray = field(metadata={"dtype": np.int8})    # TagOrigin values
+    pair_ids: np.ndarray = field(metadata={"dtype": np.int32})
+    modes: np.ndarray = field(metadata={"dtype": np.int8})
 
     def __len__(self) -> int:
         return int(self.times_ps.size)
 
     @classmethod
+    def unpaired(cls, times_ps, detectors, origins) -> "TagStream":
+        """Tags of no pair: every field after ``origins`` is -1."""
+        return cls(times_ps, detectors, origins, *(
+            np.full(times_ps.size, -1, dtype=f.metadata["dtype"]) for f in fields(cls)[3:]
+        ))
+
+    @classmethod
     def empty(cls) -> "TagStream":
-        return cls(
-            times_ps=np.empty(0, dtype=np.int64),
-            detectors=np.empty(0, dtype=np.int8),
-            origins=np.empty(0, dtype=np.int8),
-            pair_ids=np.empty(0, dtype=np.int32),
-            modes=np.empty(0, dtype=np.int8),
-        )
+        return cls(**{f.name: np.empty(0, dtype=f.metadata["dtype"]) for f in fields(cls)})
+
+    @classmethod
+    def _map_columns(cls, build, *streams: "TagStream") -> "TagStream":
+        """The stream whose each field is ``build`` of the streams' arrays of it."""
+        return cls(**{f.name: build(*(getattr(s, f.name) for s in streams)) for f in fields(cls)})
 
     @classmethod
     def concat(cls, streams: Sequence["TagStream"]) -> "TagStream":
@@ -101,22 +109,10 @@ class TagStream:
             return parts[0]
         if not parts:
             return cls.empty()
-        return cls(
-            times_ps=np.concatenate([part.times_ps for part in parts]),
-            detectors=np.concatenate([part.detectors for part in parts]),
-            origins=np.concatenate([part.origins for part in parts]),
-            pair_ids=np.concatenate([part.pair_ids for part in parts]),
-            modes=np.concatenate([part.modes for part in parts]),
-        )
+        return cls._map_columns(lambda *columns: np.concatenate(columns), *parts)
 
     def take(self, index: np.ndarray) -> "TagStream":
-        return TagStream(
-            times_ps=self.times_ps[index],
-            detectors=self.detectors[index],
-            origins=self.origins[index],
-            pair_ids=self.pair_ids[index],
-            modes=self.modes[index],
-        )
+        return self._map_columns(lambda column: column[index], self)
 
     def sorted_by_time(self) -> "TagStream":
         order = np.argsort(self.times_ps, kind="stable")
@@ -215,7 +211,8 @@ def sample_pair_tags(
     ``source.intrinsic_visibility``; every other outcome is uniform.
     ``qber_drift_per_s`` adds a linear term in the absolute arrival time to
     the matched-basis error probability, clamped to [0, 0.5], to emulate
-    slow polarization drift of the link; 0 disables it.
+    slow polarization drift of the link; 0 disables it, and a value that
+    is not finite raises ValueError.
 
     ``run_session`` calls this once per slice of a session, with the
     slice's start tick ``start_ps`` and its first pair id. The clicking
@@ -232,6 +229,8 @@ def sample_pair_tags(
     """
     if not (math.isfinite(duration_s) and duration_s > 0):
         raise ValueError(f"duration_s must be finite and > 0, got {duration_s}")
+    if not math.isfinite(qber_drift_per_s):
+        raise ValueError(f"qber_drift_per_s must be finite, got {qber_drift_per_s}")
     budget = link_budget(config_a, config_b, detector)
     probs = budget.class_probs.ravel()
     p_click = float(probs.sum())
@@ -389,14 +388,7 @@ def add_noise_tags(
     tied = _chained_runs(times[1:] == times[:-1])
     ties = order[tied]
     order[tied] = ties[np.lexsort((ties, times[tied]))]
-    drawn = TagStream(
-        times_ps=times,
-        detectors=detectors[order],
-        origins=origins[order],
-        pair_ids=np.full(times.size, -1, dtype=np.int32),
-        modes=np.full(times.size, -1, dtype=np.int8),
-    )
-    return merge_streams(stream, drawn)
+    return merge_streams(stream, TagStream.unpaired(times, detectors[order], origins[order]))
 
 
 def merge_streams(first: TagStream, second: TagStream) -> TagStream:
@@ -418,13 +410,7 @@ def merge_streams(first: TagStream, second: TagStream) -> TagStream:
         out[at] = theirs
         return out
 
-    return TagStream(
-        times_ps=merged(first.times_ps, second.times_ps),
-        detectors=merged(first.detectors, second.detectors),
-        origins=merged(first.origins, second.origins),
-        pair_ids=merged(first.pair_ids, second.pair_ids),
-        modes=merged(first.modes, second.modes),
-    )
+    return TagStream._map_columns(merged, first, second)
 
 
 def apply_dead_time(stream: TagStream, dead_time_ns: float) -> TagStream:
@@ -580,12 +566,8 @@ def read_tags(path) -> TagStream:
         (detectors < 0) | (detectors >= NUM_DETECTORS) | (origins < 0),
         "detector must be 0..3 and origin p, b or d",
     )
-    stream = TagStream(
-        times_ps=np.ascontiguousarray(rows["time"]),
-        detectors=np.ascontiguousarray(detectors),
-        origins=origins,
-        pair_ids=np.full(rows.size, -1, dtype=np.int32),
-        modes=np.full(rows.size, -1, dtype=np.int8),
+    stream = TagStream.unpaired(
+        np.ascontiguousarray(rows["time"]), np.ascontiguousarray(detectors), origins
     )
     if not stream.is_sorted():
         stream = stream.sorted_by_time()

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -79,16 +79,8 @@ class Coincidences:
         return int(self.delta.size)
 
     def take(self, index) -> "Coincidences":
-        return Coincidences(
-            times_a=self.times_a[index],
-            times_b=self.times_b[index],
-            det_a=self.det_a[index],
-            det_b=self.det_b[index],
-            delta=self.delta[index],
-            idx_a=self.idx_a[index],
-            idx_b=self.idx_b[index],
-            offset_ps=self.offset_ps,
-        )
+        arrays = (f.name for f in fields(self) if f.name != "offset_ps")
+        return replace(self, **{name: getattr(self, name)[index] for name in arrays})
 
 
 def _bin_grid(tags_a, tags_b, search_span_ps, bin_width_ps) -> tuple[int, int]:

@@ -370,6 +370,7 @@ OUT_OF_RANGE_INI = [
         "error_correction_inefficiency",
     ),
     ("[analysis]\nsecurity_epsilon = 2\n", "analysis:", "security_epsilon"),
+    ("[analysis]\nqber_drift_per_s = nan\n", "analysis:", "qber_drift_per_s"),
 ]
 
 
@@ -389,6 +390,7 @@ ANALYSIS_OUT_OF_RANGE = [
     ("coincidence_window_ps", -10, "coincidence_window_ps"),
     ("ec_inefficiency", 0.5, "error_correction_inefficiency"),
     ("epsilon", 2.0, "security_epsilon"),
+    ("qber_drift_per_s", float("nan"), "qber_drift_per_s"),
 ]
 
 

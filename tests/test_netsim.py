@@ -336,3 +336,29 @@ def test_topology_validation():
             users=[("alice", arm), ("alice", arm)],
             source=SourceParams(pair_rate=1e5),
         )
+
+
+BAD_ANALYSIS = [
+    ("coincidence_window_ps", -10, "coincidence_window_ps must be >= 0"),
+    ("ec_inefficiency", 0.5, "ec_inefficiency must be >= 1"),
+    ("ec_inefficiency", float("nan"), "ec_inefficiency must be >= 1"),
+    ("epsilon", 2.0, "epsilon must be in"),
+    ("epsilon", 0.0, "epsilon must be in"),
+    ("qber_drift_per_s", float("nan"), "qber_drift_per_s must be finite"),
+    ("qber_drift_per_s", float("inf"), "qber_drift_per_s must be finite"),
+]
+
+
+@pytest.mark.parametrize(
+    "name, value, message", BAD_ANALYSIS, ids=[f"{n}={v}" for n, v, _ in BAD_ANALYSIS]
+)
+def test_topology_rejects_bad_analysis_before_any_slice(monkeypatch, name, value, message):
+    # Each value is refused when the topology is built, so no slice is
+    # drawn: a session that started would draw and match all its slices
+    # before the key bounds read ec_inefficiency and epsilon, and a nan
+    # drift would turn every correlation flip off.
+    drawn = []
+    monkeypatch.setattr(receiver, "sample_pair_tags", lambda *a, **k: drawn.append(a))
+    with pytest.raises(ValueError, match=message):
+        run_session(schedule_session(_topology(**{name: value}), "alice", "bob", 1.0, seed=3))
+    assert drawn == []

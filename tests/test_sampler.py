@@ -213,6 +213,13 @@ def test_sampler_rejects_bad_duration(duration_s):
         sample_pair_tags(SOURCE, ARM_A, ARM_B, DETECTOR, duration_s, seed=1)
 
 
+@pytest.mark.parametrize("drift", [float("nan"), float("inf"), -float("inf")])
+def test_sampler_rejects_non_finite_drift(drift):
+    # np.clip(nan) would turn every correlation flip off and the QBER down.
+    with pytest.raises(ValueError, match="qber_drift_per_s must be finite"):
+        sample_pair_tags(SOURCE, ARM_A, ARM_B, DETECTOR, 0.01, seed=1, qber_drift_per_s=drift)
+
+
 def test_sampler_rejects_more_pairs_than_int32_ids():
     # About 4e16 clicking pairs: the count must be refused before the ticks,
     # which would need far more memory than any machine has, are drawn.

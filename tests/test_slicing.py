@@ -385,3 +385,38 @@ def test_session_peak_memory_is_set_by_a_slice():
             (_, artifacts), peaks[duration_s] = traced_peak(run_session, plan)
             assert sum(c.tags_a for c in artifacts.slices) > duration_s * 1e5
     assert peaks[90.0] <= 1.1 * peaks[10.0], peaks
+
+
+@pytest.mark.parametrize("counts, reached", [((4, 2, 3), 1), ((6, 1), 0)])
+def test_offset_recovered_in_the_slice_where_a_reaches_the_prefix(monkeypatch, counts, reached):
+    # Slice k draws counts[k] pairs, each clicking on both sides, far from
+    # the slice's ends. A holds exactly 6 final tags, the patched
+    # fine-stage count, at slice ``reached``: the offset is recovered in
+    # that slice, from those 6 tags, and not a slice earlier or later.
+    monkeypatch.setattr(netsim, "SLICE_PAIRS", 1)
+    monkeypatch.setattr(tagproc, "_FINE_SOURCE_TAGS", 6)
+    topo = _quiet_topology(dead_time_ns=0.0)
+    probe = schedule_session(topo, "alice", "bob", 1.0, seed=0)
+    slice_ps = _slice_ps(topo, probe)
+    netsim.release_session(probe)
+
+    def sample(*args, start_ps=0, first_pair_id=0, **kwargs):
+        n = counts[start_ps // slice_ps]
+        times = start_ps + slice_ps // 2 + 100_000 * np.arange(n, dtype=np.int64)
+        ids = np.arange(first_pair_id, first_pair_id + n, dtype=np.int32)
+        zeros = np.zeros(n, dtype=np.int8)
+        return tuple(TagStream(times.copy(), zeros, zeros, ids, zeros) for _ in "AB")
+
+    searched = []
+
+    def find_offset(tags_a, tags_b):
+        searched.append((len(tags_a), len(tags_b)))
+        return 0
+
+    monkeypatch.setattr(receiver, "sample_pair_tags", sample)
+    monkeypatch.setattr(tagproc, "find_offset", find_offset)
+    plan = schedule_session(topo, "alice", "bob", len(counts) * slice_ps / PS_PER_SECOND, seed=0)
+    with pytest.warns(ModeFilterWarning):
+        _, artifacts = run_session(plan)
+    assert searched == [(6, 6)]
+    assert [c.records for c in artifacts.slices] == [0] * reached + [6] + list(counts[reached + 1:])
