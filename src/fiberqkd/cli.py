@@ -67,9 +67,13 @@ class ExperimentConfig:
     ec_inefficiency: float = distill.DEFAULT_EC_INEFFICIENCY
     epsilon: float = distill.DEFAULT_EPSILON
     qber_drift_per_s: float = 0.0
-    traffic_sweep_length_km: float = TRAFFIC_SWEEP_LENGTH_KM
 
     def validate(self) -> None:
+        self.validate_experiment()
+        self.validate_analysis()
+
+    def validate_experiment(self) -> None:
+        """Check the fields of the INI's [experiment] section."""
         if self.scenario not in SCENARIOS:
             raise ValueError(
                 f"scenario must be one of {SCENARIOS}, got {self.scenario!r}"
@@ -82,7 +86,6 @@ class ExperimentConfig:
             raise ValueError(f"empty length list for scenario {self.scenario!r}")
         if self.scenario == "traffic_sweep" and not self.traffics_mbps:
             raise ValueError("empty traffic list for scenario 'traffic_sweep'")
-        self.validate_analysis()
 
     def validate_analysis(self) -> None:
         """Range-check the fields of the INI's [analysis] section, named by
@@ -108,7 +111,7 @@ class ExperimentConfig:
         if self.scenario == "extrapolation":
             return list(EXTRAPOLATION_LENGTHS_KM)
         if self.scenario == "traffic_sweep":
-            return [self.traffic_sweep_length_km]
+            return [TRAFFIC_SWEEP_LENGTH_KM]
         return [1.0]
 
 
@@ -117,7 +120,7 @@ class ExperimentConfig:
 _SECTION_KEYS = {
     "experiment": (
         "scenario", "lengths_km", "traffics_mbps", "repetitions", "duration_s", "seed",
-        "output_dir", "dump_tags", "dump_coincidences", "traffic_sweep_length_km",
+        "output_dir", "dump_tags", "dump_coincidences",
     ),
     "source": ("pair_rate", "intrinsic_visibility", "extrapolation_pair_rate"),
     "analysis": (
@@ -189,8 +192,10 @@ def load_config(path=None) -> ExperimentConfig:
         for key, value in values.get(section, {}).items():
             setattr(config, _ALIASES.get(key, key), value)
     config.channel = values.get("channel", {})
-    # Build each section's dataclass here, so that a value out of range
-    # fails now and names its place in the file.
+    # Check each section here, building its dataclass where it has one, so
+    # that a value out of range fails now and names its place in the file.
+    with _located(path, "experiment"):
+        config.validate_experiment()
     with _located(path, "traffic"):
         config.traffic = dataclasses.replace(config.traffic, **values.get("traffic", {}))
     with _located(path, "detector"):
@@ -214,14 +219,10 @@ def _located(path, section: str):
         raise ValueError(f"{path}:{section}: {exc}") from exc
 
 
-def emit_csv(rows: list[dict], path, fieldnames: list[str] | None = None) -> Path:
-    """Write dict rows as CSV with a header; plain decimal formatting,
-    newline-terminated lines."""
+def emit_csv(rows: list[dict], path, fieldnames: list[str]) -> Path:
+    """Write dict rows as CSV under the header ``fieldnames``; plain decimal
+    formatting, newline-terminated lines."""
     path = Path(path)
-    if fieldnames is None:
-        if not rows:
-            raise ValueError("fieldnames required when rows are empty")
-        fieldnames = list(rows[0].keys())
     with open(path, "w", encoding="ascii", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=fieldnames, lineterminator="\n")
         writer.writeheader()
@@ -384,9 +385,16 @@ def _run_sessions(config, out_dir: Path) -> tuple[list[dict], dict[str, Path]]:
             reports = []
             for rep in range(repetitions):
                 seed = _derive_seed(config.seed, *key, rep)
-                report = run_session(
-                    schedule_session(topo, "alice", "bob", config.duration_s, seed), sink=sink
-                )[0]
+                try:
+                    report = run_session(
+                        schedule_session(topo, "alice", "bob", config.duration_s, seed),
+                        sink=sink,
+                    )[0]
+                except tagproc.NoCorrelationPeakError as exc:
+                    point = " ".join(f"{name}={value}" for name, value in labels.items())
+                    raise tagproc.NoCorrelationPeakError(
+                        f"{point} repetition={rep} seed={seed}: {exc}"
+                    ) from exc
                 reports.append(report)
                 report_rows.append(report.csv_row())
             rows.append(

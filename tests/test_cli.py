@@ -50,11 +50,6 @@ def test_emit_csv_empty_rows_header_only(tmp_path):
     assert path.read_text() == "a,b\n"
 
 
-def test_emit_csv_requires_fieldnames_for_empty(tmp_path):
-    with pytest.raises(ValueError):
-        emit_csv([], tmp_path / "empty.csv")
-
-
 def test_emit_csv_report_row_schema(tmp_path):
     report = KeyRateReport(
         length_km_per_arm=1.0,
@@ -68,7 +63,9 @@ def test_emit_csv_report_row_schema(tmp_path):
         retained_fraction=0.55,
         offset_ps=0,
     )
-    path = emit_csv([report.csv_row()], tmp_path / "reports.csv")
+    path = emit_csv(
+        [report.csv_row()], tmp_path / "reports.csv", list(KeyRateReport.CSV_FIELDS)
+    )
     lines = path.read_text().splitlines()
     assert len(lines) == 2
     assert lines[0] == (
@@ -82,7 +79,7 @@ def test_emit_csv_roundtrip(tmp_path):
         {"x": 1.5, "y": -2, "label": "dark"},
         {"x": 0.25, "y": 7, "label": "active"},
     ]
-    path = emit_csv(rows, tmp_path / "t.csv")
+    path = emit_csv(rows, tmp_path / "t.csv", ["x", "y", "label"])
     loaded = _read_csv(path)
     assert len(loaded) == 2
     for original, parsed in zip(rows, loaded):
@@ -325,7 +322,7 @@ def test_example_config_documents_exactly_the_schema():
     documented = {(section, key) for section in parser.sections() for key in parser[section]}
     schema = {(section, key) for section, keys in cli.CONFIG_SCHEMA.items() for key in keys}
     assert documented == schema
-    assert len(schema) == 32
+    assert len(schema) == 31
 
 
 BAD_INI = [
@@ -360,6 +357,9 @@ def test_sweep_grid_checked_before_any_session(tmp_path, monkeypatch):
 
 
 OUT_OF_RANGE_INI = [
+    ("[experiment]\nscenario = foo\n", "experiment:", "scenario"),
+    ("[experiment]\nrepetitions = 0\n", "experiment:", "repetitions"),
+    ("[experiment]\nduration_s = -1\n", "experiment:", "duration_s"),
     ("[detector]\nefficiency = 1.5\n", "detector:", "efficiency"),
     ("[channel]\nsecond_mode_fraction = 1.5\n", "channel:", "second_mode_fraction"),
     ("[source]\npair_rate = -1\n", "source:", "pair_rate"),
@@ -454,6 +454,23 @@ def test_failed_single_run_leaves_no_dump(tmp_path):
     with pytest.raises(NoCorrelationPeakError):
         run_experiment(config)
     assert list((tmp_path / "out").iterdir()) == []
+
+
+def test_failed_sweep_point_names_its_point_and_seed(tmp_path):
+    # At 8 km and 4e5 pairs/s, 5 s of source hold too few pairs for an
+    # offset peak; the error says which point, repetition and seed failed.
+    config = _fast_config(
+        scenario="length_sweep",
+        lengths_km=[8.0],
+        duration_s=5.0,
+        output_dir=str(tmp_path / "out"),
+    )
+    seed = cli._derive_seed(config.seed, 0, 0, 0)
+    with pytest.raises(NoCorrelationPeakError) as caught:
+        run_experiment(config)
+    message = str(caught.value)
+    assert f"length_km=8.0 variant=dark repetition=0 seed={seed}: no correlation peak" in message
+    assert isinstance(caught.value.__cause__, NoCorrelationPeakError)
 
 
 def test_sweep_frees_each_session_before_the_next(tmp_path, monkeypatch):
