@@ -23,7 +23,7 @@ import numpy as np
 from . import distill, receiver, tagproc
 from .channel import ChannelConfig, ClassicalTraffic, TrafficDirection
 from .distill import KeyRateReport
-from .netsim import Topology, predict_key_rates, run_session, schedule_session
+from .netsim import Link, check_analysis, predict_key_rates, run_session
 from .pairgen import SourceParams
 
 SCENARIOS = ("single_run", "length_sweep", "traffic_sweep", "extrapolation")
@@ -90,18 +90,9 @@ class ExperimentConfig:
     def validate_analysis(self) -> None:
         """Range-check the fields of the INI's [analysis] section, named by
         their INI keys."""
-        if self.coincidence_window_ps < 0:
-            raise ValueError(
-                f"coincidence_window_ps must be >= 0, got {self.coincidence_window_ps}"
-            )
-        if not (math.isfinite(self.ec_inefficiency) and self.ec_inefficiency >= 1.0):
-            raise ValueError(
-                f"error_correction_inefficiency must be >= 1, got {self.ec_inefficiency}"
-            )
-        if not (0.0 < self.epsilon < 1.0):
-            raise ValueError(f"security_epsilon must be in (0, 1), got {self.epsilon}")
-        if not math.isfinite(self.qber_drift_per_s):
-            raise ValueError(f"qber_drift_per_s must be finite, got {self.qber_drift_per_s}")
+        check_analysis(
+            self.coincidence_window_ps, self.ec_inefficiency, self.epsilon, self.qber_drift_per_s
+        )
 
     def resolved_lengths_km(self) -> list[float]:
         if self.lengths_km is not None:
@@ -291,14 +282,13 @@ def _grid(config: ExperimentConfig) -> list[tuple[tuple[int, ...], dict, Channel
             for vi, (variant, traffic) in enumerate(variants)
         ]
     if config.scenario == "traffic_sweep":
-        active = dataclasses.replace(
-            config.traffic, direction=TrafficDirection.COUNTER_PROPAGATING
-        )
         return [
             (
                 (ti,),
                 {"traffic_mbps": mbps, "length_km": lengths[0]},
-                _channel_for(config, lengths[0], dataclasses.replace(active, data_rate_mbps=mbps)),
+                _channel_for(
+                    config, lengths[0], dataclasses.replace(config.traffic, data_rate_mbps=mbps)
+                ),
             )
             for ti, mbps in enumerate(config.traffics_mbps)
         ]
@@ -373,9 +363,8 @@ def _run_sessions(config, out_dir: Path) -> tuple[list[dict], dict[str, Path]]:
     with contextlib.ExitStack() as files:
         sink = _dump_sink(config, out_dir, files, outputs)
         for key, labels, arm in points:
-            topo = Topology(
-                users=[("alice", arm), ("bob", arm)],
-                source=source,
+            link = Link(
+                arm, arm, source,
                 detector=config.detector,
                 qber_drift_per_s=config.qber_drift_per_s,
                 coincidence_window_ps=config.coincidence_window_ps,
@@ -386,10 +375,7 @@ def _run_sessions(config, out_dir: Path) -> tuple[list[dict], dict[str, Path]]:
             for rep in range(repetitions):
                 seed = _derive_seed(config.seed, *key, rep)
                 try:
-                    report = run_session(
-                        schedule_session(topo, "alice", "bob", config.duration_s, seed),
-                        sink=sink,
-                    )[0]
+                    report = run_session(link, config.duration_s, seed, sink=sink)[0]
                 except tagproc.NoCorrelationPeakError as exc:
                     point = " ".join(f"{name}={value}" for name, value in labels.items())
                     raise tagproc.NoCorrelationPeakError(

@@ -1,11 +1,11 @@
-"""Star-topology network orchestration: a central switched pair source,
-per-user fiber arms, and end-to-end key-distribution sessions.
+"""Key-distribution sessions over one link: the provider's pair source,
+two fiber arms and their detectors, run end to end in slices of source
+time, and the closed-form rate predictor for the same link.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -44,79 +44,46 @@ class SliceOrderError(RuntimeError):
     """A tag of a later slice landed behind tags already processed."""
 
 
-class SourceBusyError(RuntimeError):
-    """The shared pair source is already switched to another session."""
-
-
-class UnknownUserError(KeyError):
-    pass
-
-
-class Topology:
-    """Central provider with one pair source and switched arms to users.
-
-    The source is a shared resource: at most one session may hold it at a
-    time, enforced across threads. The analysis settings are range-checked
-    here, so that a bad value raises ValueError before any session draws.
-    """
-
-    def __init__(
-        self,
-        users: list[tuple[str, ChannelConfig]],
-        source: SourceParams,
-        detector: DetectorParams | None = None,
-        qber_drift_per_s: float = 0.0,
-        coincidence_window_ps: int = tagproc.DEFAULT_COINCIDENCE_WINDOW_PS,
-        ec_inefficiency: float = distill.DEFAULT_EC_INEFFICIENCY,
-        epsilon: float = distill.DEFAULT_EPSILON,
-    ):
-        names = [name for name, _ in users]
-        if len(names) < 2:
-            raise ValueError("topology needs at least 2 users")
-        if len(set(names)) != len(names):
-            raise ValueError(f"user names must be unique, got {names}")
-        if coincidence_window_ps < 0:
-            raise ValueError(f"coincidence_window_ps must be >= 0, got {coincidence_window_ps}")
-        if not math.isfinite(qber_drift_per_s):
-            raise ValueError(f"qber_drift_per_s must be finite, got {qber_drift_per_s}")
-        # Range-checks ec_inefficiency and epsilon.
-        distill.finite_key_length(1, 0.0, ec_inefficiency, epsilon)
-        self.users: dict[str, ChannelConfig] = dict(users)
-        self.source = source
-        self.detector = detector if detector is not None else DetectorParams()
-        self.qber_drift_per_s = qber_drift_per_s
-        self.coincidence_window_ps = int(coincidence_window_ps)
-        self.ec_inefficiency = ec_inefficiency
-        self.epsilon = epsilon
-        self._lock = threading.Lock()
-        self._active: SessionPlan | None = None
-
-    def _acquire(self, plan: "SessionPlan") -> None:
-        with self._lock:
-            if self._active is not None:
-                raise SourceBusyError(
-                    f"source busy: session {self._active.user_a}-"
-                    f"{self._active.user_b} is active"
-                )
-            self._active = plan
-
-    def _release(self, plan: "SessionPlan") -> None:
-        with self._lock:
-            if self._active is plan:
-                self._active = None
+def check_analysis(
+    coincidence_window_ps: int,
+    ec_inefficiency: float,
+    epsilon: float,
+    qber_drift_per_s: float,
+) -> None:
+    """Range-check the analysis settings of a link, named by their INI keys
+    in the ``[analysis]`` section."""
+    if coincidence_window_ps < 0:
+        raise ValueError(f"coincidence_window_ps must be >= 0, got {coincidence_window_ps}")
+    if not (math.isfinite(ec_inefficiency) and ec_inefficiency >= 1.0):
+        raise ValueError(f"error_correction_inefficiency must be >= 1, got {ec_inefficiency}")
+    if not (0.0 < epsilon < 1.0):
+        raise ValueError(f"security_epsilon must be in (0, 1), got {epsilon}")
+    if not math.isfinite(qber_drift_per_s):
+        raise ValueError(f"qber_drift_per_s must be finite, got {qber_drift_per_s}")
 
 
 @dataclass(frozen=True)
-class SessionPlan:
-    """One scheduled key-distribution session between two users."""
+class Link:
+    """The link of one session: the provider's pair source feeding two
+    fiber arms, the detectors at their ends, and the analysis settings.
 
-    topology: Topology
-    user_a: str
-    user_b: str
-    config_a: ChannelConfig
-    config_b: ChannelConfig
-    duration_s: float
-    seed: int
+    The analysis settings are range-checked here, so that a bad value
+    raises ValueError before any session draws.
+    """
+
+    arm_a: ChannelConfig
+    arm_b: ChannelConfig
+    source: SourceParams
+    detector: DetectorParams = DetectorParams()
+    qber_drift_per_s: float = 0.0
+    coincidence_window_ps: int = tagproc.DEFAULT_COINCIDENCE_WINDOW_PS
+    ec_inefficiency: float = distill.DEFAULT_EC_INEFFICIENCY
+    epsilon: float = distill.DEFAULT_EPSILON
+
+    def __post_init__(self) -> None:
+        check_analysis(
+            self.coincidence_window_ps, self.ec_inefficiency, self.epsilon, self.qber_drift_per_s
+        )
 
 
 class SliceCounts(NamedTuple):
@@ -151,47 +118,11 @@ class SessionArtifacts:
         return sum(counts.records for counts in self.slices)
 
 
-def schedule_session(
-    topology: Topology,
-    user_a: str,
-    user_b: str,
-    duration_s: float,
-    seed: int,
-) -> SessionPlan:
-    """Switch the source to a user pair and return the session plan.
-
-    Holds the source until ``run_session`` completes (or ``release_session``
-    is called); scheduling while a session is active fails with
-    SourceBusyError.
-    """
-    for name in (user_a, user_b):
-        if name not in topology.users:
-            raise UnknownUserError(f"unknown user {name!r}")
-    if user_a == user_b:
-        raise ValueError(f"cannot pair user {user_a!r} with itself")
-    if not (math.isfinite(duration_s) and round(duration_s * PS_PER_SECOND) >= 1):
-        raise ValueError(f"duration_s must be finite and at least 1 ps, got {duration_s}")
-    plan = SessionPlan(
-        topology=topology,
-        user_a=user_a,
-        user_b=user_b,
-        config_a=topology.users[user_a],
-        config_b=topology.users[user_b],
-        duration_s=float(duration_s),
-        seed=int(seed),
-    )
-    topology._acquire(plan)
-    return plan
-
-
-def release_session(plan: SessionPlan) -> None:
-    plan.topology._release(plan)
-
-
 def run_session(
-    plan: SessionPlan, sink=None
+    link: Link, duration_s: float, seed: int, sink=None
 ) -> tuple[KeyRateReport, SessionArtifacts]:
-    """Execute a session end to end and release the source when done.
+    """Run a session of ``duration_s`` seconds of source time over ``link``
+    end to end.
 
     Pipeline: pair clicks drawn by the thinned event sampler
     (``receiver.sample_pair_tags``), traffic/dark noise, dead time, offset
@@ -223,7 +154,7 @@ def run_session(
     sift tallies run on each slice's records. Every tag, record and
     report equals what the whole-stream stage functions give on the
     per-slice draws concatenated and stably sorted by time, with offset
-    recovery on the same prefix. Deterministic under the plan seed.
+    recovery on the same prefix. Deterministic under ``seed``.
 
     ``sink``, when given, is called once per slice as ``sink(tags_a,
     tags_b, records, filtered)`` with each side's tags that became final
@@ -232,128 +163,128 @@ def run_session(
     recovery). Concatenated over the slices they are the session's
     streams and records; ``idx_a``/``idx_b`` index the session's streams.
 
-    Raises ValueError when the slices are shorter than the time a tag can
-    wait past its slice's end: the arm and mode delays, the jitter reach
-    on both sides, the offset search span and half the match window.
+    Raises ValueError, before any slice is drawn, when the session is
+    shorter than 1 ps or not finite, and when the slices are shorter than
+    the time a tag can wait past its slice's end: the arm and mode delays,
+    the jitter reach on both sides, the offset search span and half the
+    match window.
     """
-    topo = plan.topology
-    try:
-        det = topo.detector
-        budget = receiver.link_budget(plan.config_a, plan.config_b, det)
-        duration_ps = int(round(plan.duration_s * PS_PER_SECOND))
-        click_rate = topo.source.pair_rate * float(budget.class_probs.sum())
-        slice_ps = duration_ps
-        if click_rate > 0:
-            slice_ps = min(slice_ps, math.ceil(SLICE_PAIRS / click_rate * PS_PER_SECOND))
+    if not (math.isfinite(duration_s) and round(duration_s * PS_PER_SECOND) >= 1):
+        raise ValueError(f"duration_s must be finite and at least 1 ps, got {duration_s}")
+    det = link.detector
+    budget = receiver.link_budget(link.arm_a, link.arm_b, det)
+    duration_ps = int(round(duration_s * PS_PER_SECOND))
+    click_rate = link.source.pair_rate * float(budget.class_probs.sum())
+    slice_ps = duration_ps
+    if click_rate > 0:
+        slice_ps = min(slice_ps, math.ceil(SLICE_PAIRS / click_rate * PS_PER_SECOND))
 
-        max_delay, min_delay = max(budget.mode_delay_ps), min(budget.mode_delay_ps)
-        jitter_spread = math.hypot(det.jitter_sigma_ps, det.jitter_sigma_ps)
-        # Wide enough to capture the delayed-mode populations so the
-        # arrival-time filter, not the matching window, removes them.
-        match_window = topo.coincidence_window_ps + 2 * max_delay + 8 * round(jitter_spread)
-        reject_half_width = topo.coincidence_window_ps // 2
-        reach_ps = math.ceil(_JITTER_REACH * det.jitter_sigma_ps)
-        holdover_ps = (
-            max(budget.first_order_delay_ps)
-            + max_delay
-            + 2 * reach_ps
-            + tagproc.DEFAULT_SEARCH_SPAN_PS
-            + match_window // 2
+    max_delay, min_delay = max(budget.mode_delay_ps), min(budget.mode_delay_ps)
+    jitter_spread = math.hypot(det.jitter_sigma_ps, det.jitter_sigma_ps)
+    # Wide enough to capture the delayed-mode populations so the
+    # arrival-time filter, not the matching window, removes them.
+    match_window = link.coincidence_window_ps + 2 * max_delay + 8 * round(jitter_spread)
+    reject_half_width = link.coincidence_window_ps // 2
+    reach_ps = math.ceil(_JITTER_REACH * det.jitter_sigma_ps)
+    holdover_ps = (
+        max(budget.first_order_delay_ps)
+        + max_delay
+        + 2 * reach_ps
+        + tagproc.DEFAULT_SEARCH_SPAN_PS
+        + match_window // 2
+    )
+    if slice_ps < min(duration_ps, holdover_ps):
+        raise ValueError(
+            f"slices of {slice_ps} ps are shorter than the {holdover_ps} ps a tag "
+            f"can wait past its slice: {click_rate:.3g} clicking pairs/s is too "
+            f"bright for {SLICE_PAIRS} per slice"
         )
-        if slice_ps < min(duration_ps, holdover_ps):
-            raise ValueError(
-                f"slices of {slice_ps} ps are shorter than the {holdover_ps} ps a tag "
-                f"can wait past its slice: {click_rate:.3g} clicking pairs/s is too "
-                f"bright for {SLICE_PAIRS} per slice"
-            )
 
-        noise = [
-            (chan.background_rate_per_detector(cfg.traffic), det.dark_cps)
-            for cfg in (plan.config_a, plan.config_b)
-        ]
-        sides = [_SideSlicer(det.dead_time_ns), _SideSlicer(det.dead_time_ns)]
-        matcher = _SliceMatcher(match_window)
-        slices = []
-        wide_sift = filtered_sift = distill.SiftTally()
-        next_id = 0
-        for k, start in enumerate(range(0, duration_ps, slice_ps)):
-            stop = min(start + slice_ps, duration_ps)
-            slice_s = (stop - start) / PS_PER_SECOND
-            s_pairs, *s_noise = np.random.SeedSequence(plan.seed, spawn_key=(k,)).spawn(5)
-            pair_tags = receiver.sample_pair_tags(
-                topo.source,
-                plan.config_a,
-                plan.config_b,
-                det,
+    noise = [
+        (chan.background_rate_per_detector(cfg.traffic), det.dark_cps)
+        for cfg in (link.arm_a, link.arm_b)
+    ]
+    sides = [_SideSlicer(det.dead_time_ns), _SideSlicer(det.dead_time_ns)]
+    matcher = _SliceMatcher(match_window)
+    slices = []
+    wide_sift = filtered_sift = distill.SiftTally()
+    next_id = 0
+    for k, start in enumerate(range(0, duration_ps, slice_ps)):
+        stop = min(start + slice_ps, duration_ps)
+        slice_s = (stop - start) / PS_PER_SECOND
+        s_pairs, *s_noise = np.random.SeedSequence(seed, spawn_key=(k,)).spawn(5)
+        pair_tags = receiver.sample_pair_tags(
+            link.source,
+            link.arm_a,
+            link.arm_b,
+            det,
+            slice_s,
+            s_pairs,
+            qber_drift_per_s=link.qber_drift_per_s,
+            start_ps=start,
+            first_pair_id=next_id,
+        )
+        # The last pair drawn clicks on one side at least.
+        ids = [int(tags.pair_ids.max()) for tags in pair_tags if len(tags)]
+        pairs = max(ids) + 1 - next_id if ids else 0
+        next_id += pairs
+
+        # Every tag of a later slice lands at or after the frontier.
+        frontier = stop - reach_ps if stop < duration_ps else None
+        # Popped, so that each side's pair tags go once they are merged.
+        pair_tags = list(pair_tags)
+        final = [
+            side.advance(
+                pair_tags.pop(0),
+                [(bg, TagOrigin.BACKGROUND, s_bg), (dark, TagOrigin.DARK, s_dark)],
                 slice_s,
-                s_pairs,
-                qber_drift_per_s=topo.qber_drift_per_s,
+                start,
+                frontier,
+            )
+            for side, (bg, dark), s_bg, s_dark in zip(sides, noise, s_noise[:2], s_noise[2:])
+        ]
+
+        records = matcher.feed(*final, frontier)
+        filtered = None
+        if records is not None:
+            filtered = tagproc.temporal_mode_filter(records, min_delay, reject_half_width)
+            wide_sift += distill.sift_tally(records)
+            filtered_sift += distill.sift_tally(filtered)
+        if sink is not None:
+            sink(*final, records, filtered)
+        slices.append(
+            SliceCounts(
                 start_ps=start,
-                first_pair_id=next_id,
+                pairs=pairs,
+                tags_a=len(final[0]),
+                tags_b=len(final[1]),
+                records=0 if records is None else len(records),
+                retained=0 if filtered is None else len(filtered),
             )
-            # The last pair drawn clicks on one side at least.
-            ids = [int(tags.pair_ids.max()) for tags in pair_tags if len(tags)]
-            pairs = max(ids) + 1 - next_id if ids else 0
-            next_id += pairs
-
-            # Every tag of a later slice lands at or after the frontier.
-            frontier = stop - reach_ps if stop < duration_ps else None
-            # Popped, so that each side's pair tags go once they are merged.
-            pair_tags = list(pair_tags)
-            final = [
-                side.advance(
-                    pair_tags.pop(0),
-                    [(bg, TagOrigin.BACKGROUND, s_bg), (dark, TagOrigin.DARK, s_dark)],
-                    slice_s,
-                    start,
-                    frontier,
-                )
-                for side, (bg, dark), s_bg, s_dark in zip(sides, noise, s_noise[:2], s_noise[2:])
-            ]
-
-            records = matcher.feed(*final, frontier)
-            filtered = None
-            if records is not None:
-                filtered = tagproc.temporal_mode_filter(records, min_delay, reject_half_width)
-                wide_sift += distill.sift_tally(records)
-                filtered_sift += distill.sift_tally(filtered)
-            if sink is not None:
-                sink(*final, records, filtered)
-            slices.append(
-                SliceCounts(
-                    start_ps=start,
-                    pairs=pairs,
-                    tags_a=len(final[0]),
-                    tags_b=len(final[1]),
-                    records=0 if records is None else len(records),
-                    retained=0 if filtered is None else len(filtered),
-                )
-            )
-            del final, records, filtered
-
-        artifacts = SessionArtifacts(
-            slices=slices,
-            wide_sift=wide_sift,
-            filtered_sift=filtered_sift,
-            mode_filter_ambiguous=min_delay <= reject_half_width,
         )
-        n_records = artifacts.records
-        report = _key_rate_report(
-            plan.config_a,
-            plan.config_b,
-            sifted_bits=filtered_sift.bits,
-            sifted_rate=filtered_sift.bits / plan.duration_s,
-            qber=filtered_sift.qber,
-            retained_fraction=(
-                sum(counts.retained for counts in slices) / n_records if n_records else 0.0
-            ),
-            offset_ps=matcher.offset_ps,
-            ec_inefficiency=topo.ec_inefficiency,
-            epsilon=topo.epsilon,
-        )
-        return report, artifacts
-    finally:
-        release_session(plan)
+        del final, records, filtered
+
+    artifacts = SessionArtifacts(
+        slices=slices,
+        wide_sift=wide_sift,
+        filtered_sift=filtered_sift,
+        mode_filter_ambiguous=min_delay <= reject_half_width,
+    )
+    n_records = artifacts.records
+    report = _key_rate_report(
+        link.arm_a,
+        link.arm_b,
+        sifted_bits=filtered_sift.bits,
+        sifted_rate=filtered_sift.bits / duration_s,
+        qber=filtered_sift.qber,
+        retained_fraction=(
+            sum(counts.retained for counts in slices) / n_records if n_records else 0.0
+        ),
+        offset_ps=matcher.offset_ps,
+        ec_inefficiency=link.ec_inefficiency,
+        epsilon=link.epsilon,
+    )
+    return report, artifacts
 
 
 class _SideSlicer:

@@ -20,7 +20,7 @@ from fiberqkd.channel import (
     transmittance,
 )
 from fiberqkd.distill import asymptotic_rate, binary_entropy, finite_key_length
-from fiberqkd.netsim import Topology, predict_key_rates, run_session, schedule_session
+from fiberqkd.netsim import Link, predict_key_rates, run_session
 from fiberqkd.pairgen import SourceParams
 from fiberqkd.receiver import DetectorParams, apply_dead_time
 from fiberqkd.tagproc import find_offset, match_coincidences
@@ -47,15 +47,10 @@ def _active(mbps=10.5):
 
 
 def _session(length_km, traffic, duration_s, seed, *, pair_rate=4e5,
-             visibility=0.95, detector=None):
+             visibility=0.95, detector=DetectorParams()):
     arm = ChannelConfig(length_km=length_km, traffic=traffic)
-    topo = Topology(
-        users=[("alice", arm), ("bob", arm)],
-        source=SourceParams(pair_rate=pair_rate, intrinsic_visibility=visibility),
-        detector=detector,
-    )
-    plan = schedule_session(topo, "alice", "bob", duration_s, seed)
-    return run_session(plan)
+    source = SourceParams(pair_rate=pair_rate, intrinsic_visibility=visibility)
+    return run_session(Link(arm, arm, source, detector), duration_s, seed)
 
 
 def test_a1_infinite_key_threshold():

@@ -20,7 +20,6 @@ from fiberqkd.cli import (
     run_experiment,
 )
 from fiberqkd.distill import KeyRateReport
-from fiberqkd.netsim import release_session
 from fiberqkd.receiver import DetectorParams, write_tags
 from fiberqkd.tagproc import NoCorrelationPeakError, write_coincidences
 
@@ -225,6 +224,30 @@ def test_traffic_sweep_row_counts(tmp_path):
     assert all(float(r["length_km"]) == 4.0 for r in rows)
 
 
+def test_traffic_sweep_keeps_the_configured_direction(tmp_path, monkeypatch):
+    # [traffic] direction reaches every traffic_sweep point's arms; only the
+    # data rate is swept.
+    ini = tmp_path / "exp.ini"
+    ini.write_text(
+        "[experiment]\nscenario = traffic_sweep\ntraffics_mbps = 0, 50\nrepetitions = 1\n"
+        f"output_dir = {tmp_path / 'out'}\n[traffic]\ndirection = co_propagating\n"
+    )
+    links = []
+
+    def run_session(link, duration_s, seed, sink=None):
+        links.append(link)
+        return netsim.predict_key_rates(link.source, link.arm_a, link.arm_b), None
+
+    monkeypatch.setattr(cli, "run_session", run_session)
+    run_experiment(load_config(ini))
+    assert [link.arm_a.traffic.data_rate_mbps for link in links] == [0.0, 50.0]
+    assert all(
+        arm.traffic.direction is TrafficDirection.CO_PROPAGATING
+        for link in links
+        for arm in (link.arm_a, link.arm_b)
+    )
+
+
 def test_extrapolation_scenario_reach(tmp_path):
     config = _fast_config(
         scenario="extrapolation", output_dir=str(tmp_path / "extrap")
@@ -417,12 +440,12 @@ def test_dumps_written_slice_by_slice_equal_whole_writes(tmp_path, monkeypatch, 
     kept = SessionSink()
     session = cli.run_session
 
-    def run_session(plan, sink=None):
+    def run_session(link, duration_s, seed, sink=None):
         def both(*parts):
             kept(*parts)
             sink(*parts)
 
-        return session(plan, sink=both)
+        return session(link, duration_s, seed, sink=both)
 
     monkeypatch.setattr(cli, "run_session", run_session)
     config = _fast_config(
@@ -494,9 +517,8 @@ def test_sweep_frees_each_session_before_the_next(tmp_path, monkeypatch):
 
     earlier = []
 
-    def run_session(plan, sink=None):
+    def run_session(link, duration_s, seed, sink=None):
         assert all(ref() is None for ref in earlier)
-        release_session(plan)
         artifacts = Artifacts()
         earlier.append(weakref.ref(artifacts))
         return report, artifacts

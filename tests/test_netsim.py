@@ -1,5 +1,4 @@
 import math
-import threading
 
 import numpy as np
 import pytest
@@ -17,36 +16,18 @@ from fiberqkd.channel import (
     TrafficDirection,
     background_rate_per_detector,
 )
-from fiberqkd.netsim import (
-    SourceBusyError,
-    Topology,
-    UnknownUserError,
-    predict_key_rates,
-    release_session,
-    run_session,
-    schedule_session,
-)
+from fiberqkd.netsim import Link, predict_key_rates, run_session
 from fiberqkd.pairgen import SourceParams
 from fiberqkd import netsim, receiver
 from fiberqkd.receiver import DetectorParams, TagOrigin, TagStream, sample_pair_tags
 from fiberqkd.tagproc import ModeFilterWarning, NoCorrelationPeakError
 
 
-def _topology(
-    length_km=1.0,
-    traffic=None,
-    pair_rate=4e5,
-    visibility=0.95,
-    detector=None,
-    **kwargs,
-):
+def _link(length_km=1.0, traffic=None, pair_rate=4e5, visibility=0.95, **kwargs):
     traffic = traffic if traffic is not None else ClassicalTraffic()
     arm = ChannelConfig(length_km=length_km, traffic=traffic)
-    return Topology(
-        users=[("alice", arm), ("bob", arm)],
-        source=SourceParams(pair_rate=pair_rate, intrinsic_visibility=visibility),
-        detector=detector,
-        **kwargs,
+    return Link(
+        arm, arm, SourceParams(pair_rate=pair_rate, intrinsic_visibility=visibility), **kwargs
     )
 
 
@@ -60,101 +41,37 @@ def _active(mbps=10.5):
     )
 
 
-def test_schedule_valid_pair():
-    topo = _topology()
-    plan = schedule_session(topo, "alice", "bob", duration_s=1.0, seed=1)
-    assert plan.user_a == "alice" and plan.user_b == "bob"
-    assert plan.config_a is topo.users["alice"]
-    release_session(plan)
-
-
-def test_schedule_rejects_self_pairing():
-    topo = _topology()
-    with pytest.raises(ValueError):
-        schedule_session(topo, "alice", "alice", duration_s=1.0, seed=1)
-
-
-def test_schedule_rejects_unknown_user():
-    topo = _topology()
-    with pytest.raises(UnknownUserError):
-        schedule_session(topo, "alice", "mallory", duration_s=1.0, seed=1)
-
-
 @pytest.mark.parametrize("duration_s", [4e-13, 0.0, -1.0, math.inf, math.nan])
-def test_schedule_rejects_less_than_one_tick(duration_s):
-    # 0.4 ps rounds to a session of no tick, which has no slice to run.
-    topo = _topology()
+def test_schedule_rejects_less_than_one_tick(monkeypatch, duration_s):
+    # 0.4 ps rounds to a session of no tick, which has no slice to run:
+    # the session refuses before drawing anything.
+    drawn = []
+    monkeypatch.setattr(receiver, "sample_pair_tags", lambda *a, **k: drawn.append(a))
     with pytest.raises(ValueError, match="duration_s"):
-        schedule_session(topo, "alice", "bob", duration_s, seed=1)
-    # The source was not taken.
-    release_session(schedule_session(topo, "alice", "bob", duration_s=1e-12, seed=1))
+        run_session(_link(), duration_s, seed=1)
+    assert drawn == []
 
 
-def test_second_session_rejected_while_active():
-    topo = _topology()
-    plan = schedule_session(topo, "alice", "bob", duration_s=1.0, seed=1)
-    with pytest.raises(SourceBusyError, match="source busy"):
-        schedule_session(topo, "bob", "alice", duration_s=1.0, seed=2)
-    release_session(plan)
-    second = schedule_session(topo, "bob", "alice", duration_s=1.0, seed=2)
-    release_session(second)
-
-
-def test_source_freed_after_run():
-    topo = _topology(pair_rate=2e5)
-    plan = schedule_session(topo, "alice", "bob", duration_s=1.0, seed=3)
-    run_session(plan)
-    plan2 = schedule_session(topo, "alice", "bob", duration_s=1.0, seed=4)
-    release_session(plan2)
-
-
-def test_source_freed_when_session_fails():
+def test_dead_detectors_raise_no_correlation_peak():
     # Dead detectors leave only uncorrelated dark counts: offset recovery
-    # fails, and the source must still be released.
-    topo = _topology(pair_rate=2e5, detector=DetectorParams(efficiency=0.0))
-    plan = schedule_session(topo, "alice", "bob", duration_s=1.0, seed=5)
+    # fails.
+    link = _link(pair_rate=2e5, detector=DetectorParams(efficiency=0.0))
     with pytest.raises(NoCorrelationPeakError):
-        run_session(plan)
-    plan2 = schedule_session(topo, "alice", "bob", duration_s=1.0, seed=6)
-    release_session(plan2)
-
-
-def test_exclusion_under_concurrent_scheduling():
-    topo = _topology()
-    results = []
-
-    def attempt():
-        try:
-            results.append(schedule_session(topo, "alice", "bob", 1.0, seed=7))
-        except SourceBusyError:
-            results.append(None)
-
-    threads = [threading.Thread(target=attempt) for _ in range(16)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    plans = [r for r in results if r is not None]
-    assert len(plans) == 1
-    release_session(plans[0])
+        run_session(link, 1.0, seed=5)
 
 
 def test_run_session_deterministic():
-    topo = _topology(pair_rate=3e5)
+    link = _link(pair_rate=3e5)
     sinks = [SessionSink(), SessionSink()]
-    report1, art1 = run_session(
-        schedule_session(topo, "alice", "bob", 2.0, seed=42), sink=sinks[0]
-    )
-    report2, art2 = run_session(
-        schedule_session(topo, "alice", "bob", 2.0, seed=42), sink=sinks[1]
-    )
+    report1, art1 = run_session(link, 2.0, seed=42, sink=sinks[0])
+    report2, art2 = run_session(link, 2.0, seed=42, sink=sinks[1])
     assert report1 == report2
     assert art1.slices == art2.slices
     (a1, b1), (a2, b2) = (sink.streams() for sink in sinks)
     assert np.array_equal(a1.times_ps, a2.times_ps)
     assert np.array_equal(b1.detectors, b2.detectors)
     assert np.array_equal(sinks[0].records()[1].delta, sinks[1].records()[1].delta)
-    report3, _ = run_session(schedule_session(topo, "alice", "bob", 2.0, seed=43))
+    report3, _ = run_session(link, 2.0, seed=43)
     assert report3 != report1
 
 
@@ -165,9 +82,8 @@ def test_session_streams_equal_oracle_chain(monkeypatch, seed):
     # dark noise, all slices concatenated and stably sorted, then the
     # sequential dead-time scan. Short slices put about seven in 0.5 s.
     monkeypatch.setattr(netsim, "SLICE_PAIRS", 1 << 14)
-    topo = _topology(length_km=0.25, traffic=_active())
+    link = _link(length_km=0.25, traffic=_active())
     duration_s = 0.5
-    plan = schedule_session(topo, "alice", "bob", duration_s, seed=seed)
     calls = []
     for name in ("add_noise_tags", "apply_dead_time"):
         def spy(stream, *args, _name=name, _call=getattr(receiver, name), **kwargs):
@@ -177,14 +93,14 @@ def test_session_streams_equal_oracle_chain(monkeypatch, seed):
         monkeypatch.setattr(receiver, name, spy)
     sink = SessionSink()
     with pytest.warns(ModeFilterWarning):
-        run_session(plan, sink=sink)
+        run_session(link, duration_s, seed, sink=sink)
     # Per slice and side, one merge of both noise processes, then dead time.
     # Session streams hardly ever hold equal times, so the tie order
     # (stream, background, dark) is pinned here by the order of the
     # processes passed to the merge.
-    detector = topo.detector
-    arm = topo.users["alice"]
-    click_rate = topo.source.pair_rate * receiver.link_budget(arm, arm, detector).class_probs.sum()
+    detector = link.detector
+    arm = link.arm_a
+    click_rate = link.source.pair_rate * receiver.link_budget(arm, arm, detector).class_probs.sum()
     slice_ps = math.ceil(netsim.SLICE_PAIRS / click_rate * 1e12)
     duration_ps = round(duration_s * 1e12)
     starts = range(0, duration_ps, slice_ps)
@@ -201,7 +117,7 @@ def test_session_streams_equal_oracle_chain(monkeypatch, seed):
         slice_s = (min(start + slice_ps, duration_ps) - start) / 1e12
         s_pairs, *s_noise = np.random.SeedSequence(seed, spawn_key=(k,)).spawn(5)
         pair_tags = sample_pair_tags(
-            topo.source, arm, arm, detector, slice_s, s_pairs, start_ps=start, first_pair_id=next_id
+            link.source, arm, arm, detector, slice_s, s_pairs, start_ps=start, first_pair_id=next_id
         )
         next_id = 1 + max(int(tags.pair_ids.max()) for tags in pair_tags)
         for side, tags in enumerate(pair_tags):
@@ -223,11 +139,9 @@ def test_session_streams_equal_oracle_chain(monkeypatch, seed):
 
 def test_short_arm_qber_band():
     # 0.25 km arms on dark fiber, defaults, 60 s of source time.
-    topo = _topology(length_km=0.25, traffic=_dark())
+    link = _link(length_km=0.25, traffic=_dark())
     with pytest.warns(Warning):
-        report, artifacts = run_session(
-            schedule_session(topo, "alice", "bob", 60.0, seed=101)
-        )
+        report, artifacts = run_session(link, 60.0, seed=101)
     assert artifacts.mode_filter_ambiguous
     assert 0.02 <= report.qber <= 0.06
 
@@ -235,14 +149,12 @@ def test_short_arm_qber_band():
 def test_zero_length_arms_filter_with_warning():
     # With no fiber there is no mode delay: the mode filter warns that it
     # cannot separate the modes and keeps the central coincidence window.
-    topo = _topology(length_km=0.0, traffic=_dark())
+    link = _link(length_km=0.0, traffic=_dark())
     sink = SessionSink()
     with pytest.warns(ModeFilterWarning):
-        report, artifacts = run_session(
-            schedule_session(topo, "alice", "bob", 1.0, seed=5), sink=sink
-        )
+        report, artifacts = run_session(link, 1.0, seed=5, sink=sink)
     records, filtered = sink.records()
-    half = topo.coincidence_window_ps // 2
+    half = link.coincidence_window_ps // 2
     expected = records.take(np.abs(records.delta) <= half)
     assert len(expected) > 0
     assert_records_equal(filtered, expected)
@@ -253,10 +165,7 @@ def test_zero_length_arms_filter_with_warning():
 def test_active_and_dark_agree_at_3km():
     reports = {}
     for variant, traffic in (("dark", _dark()), ("active", _active())):
-        topo = _topology(length_km=3.0, traffic=traffic)
-        report, _ = run_session(
-            schedule_session(topo, "alice", "bob", 15.0, seed=202)
-        )
+        report, _ = run_session(_link(length_km=3.0, traffic=traffic), 15.0, seed=202)
         reports[variant] = report
     q_active, q_dark = reports["active"].qber, reports["dark"].qber
     sigma = math.sqrt(
@@ -267,16 +176,19 @@ def test_active_and_dark_agree_at_3km():
 
 
 def test_arm_symmetry_under_user_swap():
-    qber = {"ab": [], "ba": []}
+    # An asymmetric link with its arms swapped: the mode filter and the
+    # sifting treat both ends alike, so the QBER does not see the swap.
+    source = SourceParams(pair_rate=3e5, intrinsic_visibility=0.95)
+    short, long = (ChannelConfig(length_km=km, traffic=ClassicalTraffic()) for km in (1.0, 1.5))
+    links = {"ab": Link(short, long, source), "ba": Link(long, short, source)}
+    qber = {key: [] for key in links}
     for seed in range(4):
-        for key, (first, second) in (("ab", ("alice", "bob")), ("ba", ("bob", "alice"))):
-            topo = _topology(length_km=1.0, pair_rate=3e5)
-            report, _ = run_session(
-                schedule_session(topo, first, second, 3.0, seed=300 + seed)
-            )
+        for key, link in links.items():
+            report, _ = run_session(link, 3.0, seed=300 + seed)
             qber[key].append(report.qber)
     mean_ab, mean_ba = np.mean(qber["ab"]), np.mean(qber["ba"])
-    n_each = 4 * 2500  # rough sifted bits per run at these settings
+    # Runs here sift about 6,900 bits each; 2,500 keeps the bound wide.
+    n_each = 4 * 2500
     sigma = math.sqrt(2 * 0.026 * 0.974 / n_each)
     assert abs(mean_ab - mean_ba) < 4 * sigma
 
@@ -286,8 +198,7 @@ def test_traffic_level_has_no_model_effect():
     # and 100 Mbps with the same seed differ only in the report's metadata.
     reports = []
     for mbps in (0.0, 100.0):
-        topo = _topology(length_km=1.0, traffic=_active(mbps))
-        report, _ = run_session(schedule_session(topo, "alice", "bob", 2.0, seed=404))
+        report, _ = run_session(_link(length_km=1.0, traffic=_active(mbps)), 2.0, seed=404)
         reports.append(report)
     assert reports[0].qber == reports[1].qber
     assert reports[0].sifted_bits == reports[1].sifted_bits
@@ -295,18 +206,17 @@ def test_traffic_level_has_no_model_effect():
 
 
 def test_polarization_drift_raises_qber():
-    steady = _topology(length_km=0.5, pair_rate=3e5)
-    drifting = _topology(length_km=0.5, pair_rate=3e5, qber_drift_per_s=0.004)
-    q0 = run_session(schedule_session(steady, "alice", "bob", 5.0, seed=7))[0].qber
-    q1 = run_session(schedule_session(drifting, "alice", "bob", 5.0, seed=7))[0].qber
+    steady = _link(length_km=0.5, pair_rate=3e5)
+    drifting = _link(length_km=0.5, pair_rate=3e5, qber_drift_per_s=0.004)
+    q0 = run_session(steady, 5.0, seed=7)[0].qber
+    q1 = run_session(drifting, 5.0, seed=7)[0].qber
     # Mean drift over 5 s adds about 0.01 to the error rate.
     assert q1 > q0
     assert q1 - q0 == pytest.approx(0.01, abs=0.006)
 
 
 def test_report_invariants():
-    topo = _topology(length_km=2.0)
-    report, artifacts = run_session(schedule_session(topo, "alice", "bob", 5.0, seed=9))
+    report, artifacts = run_session(_link(length_km=2.0), 5.0, seed=9)
     assert report.asymptotic_rate <= report.sifted_rate
     assert report.finite_length <= report.sifted_bits
     assert 0.0 <= report.retained_fraction <= 1.0
@@ -320,30 +230,18 @@ def test_prediction_matches_simulation():
     arm = ChannelConfig(length_km=2.0, traffic=traffic)
     source = SourceParams(pair_rate=4e5, intrinsic_visibility=0.95)
     predicted = predict_key_rates(source, arm, arm, duration_s=20.0)
-    topo = _topology(length_km=2.0, traffic=traffic)
-    simulated, _ = run_session(schedule_session(topo, "alice", "bob", 20.0, seed=11))
+    simulated, _ = run_session(_link(length_km=2.0, traffic=traffic), 20.0, seed=11)
     sigma = math.sqrt(predicted.qber * (1 - predicted.qber) / simulated.sifted_bits)
     assert abs(predicted.qber - simulated.qber) < 4 * sigma + 0.002
     assert predicted.sifted_rate == pytest.approx(simulated.sifted_rate, rel=0.05)
 
 
-def test_topology_validation():
-    arm = ChannelConfig(length_km=1.0)
-    with pytest.raises(ValueError):
-        Topology(users=[("alice", arm)], source=SourceParams(pair_rate=1e5))
-    with pytest.raises(ValueError):
-        Topology(
-            users=[("alice", arm), ("alice", arm)],
-            source=SourceParams(pair_rate=1e5),
-        )
-
-
 BAD_ANALYSIS = [
     ("coincidence_window_ps", -10, "coincidence_window_ps must be >= 0"),
-    ("ec_inefficiency", 0.5, "ec_inefficiency must be >= 1"),
-    ("ec_inefficiency", float("nan"), "ec_inefficiency must be >= 1"),
-    ("epsilon", 2.0, "epsilon must be in"),
-    ("epsilon", 0.0, "epsilon must be in"),
+    ("ec_inefficiency", 0.5, "error_correction_inefficiency must be >= 1"),
+    ("ec_inefficiency", float("nan"), "error_correction_inefficiency must be >= 1"),
+    ("epsilon", 2.0, "security_epsilon must be in"),
+    ("epsilon", 0.0, "security_epsilon must be in"),
     ("qber_drift_per_s", float("nan"), "qber_drift_per_s must be finite"),
     ("qber_drift_per_s", float("inf"), "qber_drift_per_s must be finite"),
 ]
@@ -353,12 +251,12 @@ BAD_ANALYSIS = [
     "name, value, message", BAD_ANALYSIS, ids=[f"{n}={v}" for n, v, _ in BAD_ANALYSIS]
 )
 def test_topology_rejects_bad_analysis_before_any_slice(monkeypatch, name, value, message):
-    # Each value is refused when the topology is built, so no slice is
+    # Each value is refused when the link is built, so no slice is
     # drawn: a session that started would draw and match all its slices
     # before the key bounds read ec_inefficiency and epsilon, and a nan
     # drift would turn every correlation flip off.
     drawn = []
     monkeypatch.setattr(receiver, "sample_pair_tags", lambda *a, **k: drawn.append(a))
     with pytest.raises(ValueError, match=message):
-        run_session(schedule_session(_topology(**{name: value}), "alice", "bob", 1.0, seed=3))
+        run_session(_link(**{name: value}), 1.0, seed=3)
     assert drawn == []

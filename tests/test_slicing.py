@@ -31,7 +31,7 @@ from fiberqkd.channel import (
     background_rate_per_detector,
 )
 from fiberqkd.distill import SiftTally, sift
-from fiberqkd.netsim import SliceOrderError, Topology, run_session, schedule_session
+from fiberqkd.netsim import Link, SliceOrderError, run_session
 from fiberqkd.pairgen import PS_PER_SECOND, SourceParams
 from fiberqkd.receiver import DetectorParams, TagOrigin, TagStream
 from fiberqkd.tagproc import ModeFilterWarning
@@ -40,47 +40,44 @@ ACTIVE = ClassicalTraffic(direction=TrafficDirection.COUNTER_PROPAGATING)
 DARK = ClassicalTraffic(direction=TrafficDirection.NONE)
 
 
-def _topology(arm_a, arm_b, pair_rate=4e5, detector=None):
-    return Topology(
-        users=[("alice", arm_a), ("bob", arm_b)],
-        source=SourceParams(pair_rate=pair_rate, intrinsic_visibility=0.95),
-        detector=detector,
-    )
+def _link(arm_a, arm_b, pair_rate=4e5, detector=None):
+    source = SourceParams(pair_rate=pair_rate, intrinsic_visibility=0.95)
+    return Link(arm_a, arm_b, source, detector or DetectorParams())
 
 
-def _slice_ps(topo, plan) -> int:
-    budget = receiver.link_budget(plan.config_a, plan.config_b, topo.detector)
-    click_rate = topo.source.pair_rate * budget.class_probs.sum()
-    duration_ps = round(plan.duration_s * PS_PER_SECOND)
+def _slice_ps(link, duration_s) -> int:
+    budget = receiver.link_budget(link.arm_a, link.arm_b, link.detector)
+    click_rate = link.source.pair_rate * budget.class_probs.sum()
+    duration_ps = round(duration_s * PS_PER_SECOND)
     if click_rate == 0:
         return duration_ps
     return min(duration_ps, math.ceil(netsim.SLICE_PAIRS / click_rate * PS_PER_SECOND))
 
 
-def _slices(topo, plan):
+def _slices(link, duration_s):
     """(start, stop, frontier) of each slice; the frontier is None for the
     last slice."""
-    duration_ps = round(plan.duration_s * PS_PER_SECOND)
-    slice_ps = _slice_ps(topo, plan)
-    reach = math.ceil(netsim._JITTER_REACH * topo.detector.jitter_sigma_ps)
+    duration_ps = round(duration_s * PS_PER_SECOND)
+    slice_ps = _slice_ps(link, duration_s)
+    reach = math.ceil(netsim._JITTER_REACH * link.detector.jitter_sigma_ps)
     for start in range(0, duration_ps, slice_ps):
         stop = min(start + slice_ps, duration_ps)
         yield start, stop, stop - reach if stop < duration_ps else None
 
 
-def _drawn_slices(topo, plan):
+def _drawn_slices(link, duration_s, seed):
     """Each slice's fresh tags per side, drawn from the slice's seeds as
     the session draws them: its pair tags, then both noise processes."""
-    det = topo.detector
+    det = link.detector
     fresh = ([], [])
     next_id = 0
-    for k, (start, stop, _) in enumerate(_slices(topo, plan)):
+    for k, (start, stop, _) in enumerate(_slices(link, duration_s)):
         slice_s = (stop - start) / PS_PER_SECOND
-        s_pairs, *s_noise = np.random.SeedSequence(plan.seed, spawn_key=(k,)).spawn(5)
+        s_pairs, *s_noise = np.random.SeedSequence(seed, spawn_key=(k,)).spawn(5)
         pair_tags = receiver.sample_pair_tags(
-            topo.source,
-            plan.config_a,
-            plan.config_b,
+            link.source,
+            link.arm_a,
+            link.arm_b,
             det,
             slice_s,
             s_pairs,
@@ -90,7 +87,7 @@ def _drawn_slices(topo, plan):
         next_id = 1 + max(
             [next_id - 1] + [int(tags.pair_ids.max()) for tags in pair_tags if len(tags)]
         )
-        for side, (tags, cfg) in enumerate(zip(pair_tags, (plan.config_a, plan.config_b))):
+        for side, (tags, cfg) in enumerate(zip(pair_tags, (link.arm_a, link.arm_b))):
             noise = [
                 (background_rate_per_detector(cfg.traffic), TagOrigin.BACKGROUND, s_noise[side]),
                 (det.dark_cps, TagOrigin.DARK, s_noise[2 + side]),
@@ -99,10 +96,10 @@ def _drawn_slices(topo, plan):
     return fresh
 
 
-def _whole_stream(topo, plan, fresh, offset=None):
+def _whole_stream(link, duration_s, fresh, offset=None):
     """The whole-stream pipeline on the per-slice ``fresh`` tags: (streams,
     offset, wide-window records, filtered records)."""
-    det = topo.detector
+    det = link.detector
     streams = [
         receiver.apply_dead_time(TagStream.concat(parts).sorted_by_time(), det.dead_time_ns)
         for parts in fresh
@@ -111,16 +108,16 @@ def _whole_stream(topo, plan, fresh, offset=None):
         # Offset recovery reads the tags before the first frontier that has
         # at least find_offset's fine-stage count of A tags before it.
         prefix = streams
-        for _, _, frontier in _slices(topo, plan):
+        for _, _, frontier in _slices(link, duration_s):
             if frontier is not None and np.count_nonzero(
                 streams[0].times_ps < frontier
             ) >= tagproc._FINE_SOURCE_TAGS:
                 prefix = [tags.take(tags.times_ps < frontier) for tags in streams]
                 break
         offset = tagproc.find_offset(*prefix)
-    delays = (plan.config_a.mode_delay_ps, plan.config_b.mode_delay_ps)
+    delays = (link.arm_a.mode_delay_ps, link.arm_b.mode_delay_ps)
     window = (
-        topo.coincidence_window_ps
+        link.coincidence_window_ps
         + 2 * max(delays)
         + 8 * round(math.hypot(det.jitter_sigma_ps, det.jitter_sigma_ps))
     )
@@ -128,7 +125,7 @@ def _whole_stream(topo, plan, fresh, offset=None):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ModeFilterWarning)
         filtered = tagproc.temporal_mode_filter(
-            records, min(delays), topo.coincidence_window_ps // 2
+            records, min(delays), link.coincidence_window_ps // 2
         )
     return streams, offset, records, filtered
 
@@ -138,12 +135,12 @@ def _tally(records) -> SiftTally:
     return SiftTally(len(key), int(np.count_nonzero(key.bits_a != key.bits_b)))
 
 
-def _assert_session_equals_whole_stream(topo, plan, fresh, offset=None):
+def _assert_session_equals_whole_stream(link, duration_s, seed, fresh, offset=None):
     sink = SessionSink()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ModeFilterWarning)
-        report, artifacts = run_session(plan, sink=sink)
-    streams, offset, records, filtered = _whole_stream(topo, plan, fresh, offset)
+        report, artifacts = run_session(link, duration_s, seed, sink=sink)
+    streams, offset, records, filtered = _whole_stream(link, duration_s, fresh, offset)
     for got, want in zip(sink.streams(), streams):
         assert_streams_equal(got, want)
     got_records, got_filtered = sink.records()
@@ -156,7 +153,7 @@ def _assert_session_equals_whole_stream(topo, plan, fresh, offset=None):
     assert report.retained_fraction == len(filtered) / len(records)
     assert artifacts.wide_sift == _tally(records)
     assert artifacts.filtered_sift == _tally(filtered)
-    assert [c.start_ps for c in artifacts.slices] == [s for s, _, _ in _slices(topo, plan)]
+    assert [c.start_ps for c in artifacts.slices] == [s for s, _, _ in _slices(link, duration_s)]
     assert sink.calls == len(artifacts.slices)
     assert sum(c.tags_a for c in artifacts.slices) == len(streams[0])
     assert sum(c.records for c in artifacts.slices) == len(records)
@@ -198,9 +195,9 @@ ORACLE_CASES = [
 def test_session_equals_whole_stream_pipeline(
     name, arm_a, arm_b, pair_rate, detector, duration_s, seed
 ):
-    topo = _topology(arm_a, arm_b or arm_a, pair_rate, detector)
-    plan = schedule_session(topo, "alice", "bob", duration_s, seed)
-    artifacts = _assert_session_equals_whole_stream(topo, plan, _drawn_slices(topo, plan))
+    link = _link(arm_a, arm_b or arm_a, pair_rate, detector)
+    fresh = _drawn_slices(link, duration_s, seed)
+    artifacts = _assert_session_equals_whole_stream(link, duration_s, seed, fresh)
     assert len(artifacts.slices) >= 3
 
 
@@ -218,9 +215,8 @@ def test_session_equals_whole_stream_pipeline_in_short_slices(
     # runs slice by slice after a prefix of several slices.
     monkeypatch.setattr(netsim, "SLICE_PAIRS", 1 << 11)
     monkeypatch.setattr(tagproc, "_FINE_SOURCE_TAGS", 1 << 14)
-    topo = _topology(arm_a, arm_b or arm_a, pair_rate, detector)
-    plan = schedule_session(topo, "alice", "bob", 2.0, seed=7)
-    artifacts = _assert_session_equals_whole_stream(topo, plan, _drawn_slices(topo, plan))
+    link = _link(arm_a, arm_b or arm_a, pair_rate, detector)
+    artifacts = _assert_session_equals_whole_stream(link, 2.0, 7, _drawn_slices(link, 2.0, 7))
     assert len(artifacts.slices) >= 20
     assert sum(c.records > 0 for c in artifacts.slices) >= 5
 
@@ -237,12 +233,10 @@ def test_slice_seeds_follow_the_slice_index():
 def test_pair_ids_run_on_across_slices(monkeypatch):
     # Without dead time every drawn pair keeps its tags.
     monkeypatch.setattr(netsim, "SLICE_PAIRS", 1 << 12)
-    topo = _topology(
-        DENSE_ARM, DENSE_ARM, DENSE_SOURCE.pair_rate, DetectorParams(dead_time_ns=0.0)
-    )
+    link = _link(DENSE_ARM, DENSE_ARM, DENSE_SOURCE.pair_rate, DetectorParams(dead_time_ns=0.0))
     sink = SessionSink()
     with pytest.warns(ModeFilterWarning):
-        _, artifacts = run_session(schedule_session(topo, "alice", "bob", 0.3, seed=8), sink=sink)
+        _, artifacts = run_session(link, 0.3, seed=8, sink=sink)
     tags_a, tags_b = sink.streams()
     ids = np.union1d(tags_a.pair_ids[tags_a.pair_ids >= 0], tags_b.pair_ids[tags_b.pair_ids >= 0])
     # Every drawn pair clicks somewhere, and one counter numbers them all.
@@ -257,12 +251,12 @@ QUIET_ARM = ChannelConfig(length_km=0.0, traffic=DARK)
 REACH_PS = math.ceil(netsim._JITTER_REACH * DetectorParams().jitter_sigma_ps)
 
 
-def _quiet_topology(dead_time_ns):
+def _quiet_link(dead_time_ns):
     detector = DetectorParams(dark_cps=0.0, dead_time_ns=dead_time_ns)
     budget = receiver.link_budget(QUIET_ARM, QUIET_ARM, detector)
     # One expected clicking pair per 100 us.
     pair_rate = 1e4 / budget.class_probs.sum()
-    return _topology(QUIET_ARM, QUIET_ARM, pair_rate, detector)
+    return _link(QUIET_ARM, QUIET_ARM, pair_rate, detector)
 
 
 def _synthetic_sampler(data, fresh):
@@ -316,21 +310,19 @@ def test_slice_boundaries_equal_whole_stream(data, n_slices, last_fraction, dead
     # runs across one, empty slices (a slice may draw no tags), a session
     # shorter than one slice (one slice, last_fraction < 1) and a duration
     # that is not a whole number of slices.
-    topo = _quiet_topology(dead_time_ns)
+    link = _quiet_link(dead_time_ns)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(netsim, "SLICE_PAIRS", 1)
-        probe = schedule_session(topo, "alice", "bob", 1.0, seed=0)
-        slice_ps = _slice_ps(topo, probe)
-        netsim.release_session(probe)
+        slice_ps = _slice_ps(link, 1.0)
         duration_ps = (n_slices - 1) * slice_ps + max(1, round(last_fraction * slice_ps))
-        plan = schedule_session(topo, "alice", "bob", duration_ps / PS_PER_SECOND, seed=0)
+        duration_s = duration_ps / PS_PER_SECOND
         fresh = ([], [])
         patch.setattr(receiver, "sample_pair_tags", _synthetic_sampler(data, fresh))
         # A fixed offset, and matching that starts after the first slice
         # with an A tag, so that later slices match one by one.
         patch.setattr(tagproc, "find_offset", lambda tags_a, tags_b: 0)
         patch.setattr(tagproc, "_FINE_SOURCE_TAGS", 1)
-        artifacts = _assert_session_equals_whole_stream(topo, plan, fresh, offset=0)
+        artifacts = _assert_session_equals_whole_stream(link, duration_s, 0, fresh, offset=0)
     assert len(artifacts.slices) == n_slices
 
 
@@ -351,12 +343,10 @@ def test_tag_behind_the_processed_frontier_raises(monkeypatch):
         return tags_a, tags_b
 
     monkeypatch.setattr(receiver, "sample_pair_tags", far_jitter)
-    topo = _topology(DENSE_ARM, DENSE_ARM, DENSE_SOURCE.pair_rate)
+    link = _link(DENSE_ARM, DENSE_ARM, DENSE_SOURCE.pair_rate)
     with pytest.raises(SliceOrderError, match="behind"):
-        run_session(schedule_session(topo, "alice", "bob", 0.1, seed=9))
+        run_session(link, 0.1, seed=9)
     assert len(late) == 1
-    # The source is free again.
-    netsim.release_session(schedule_session(topo, "alice", "bob", 0.1, seed=10))
 
 
 def test_slice_shorter_than_the_holdover_raises(monkeypatch):
@@ -365,26 +355,25 @@ def test_slice_shorter_than_the_holdover_raises(monkeypatch):
     # span alone): the session refuses before drawing anything.
     drawn = []
     monkeypatch.setattr(receiver, "sample_pair_tags", lambda *a, **k: drawn.append(a))
-    topo = _topology(DENSE_ARM, DENSE_ARM, pair_rate=1e12)
+    link = _link(DENSE_ARM, DENSE_ARM, pair_rate=1e12)
     with pytest.raises(ValueError, match="shorter than the .* ps a tag can wait"):
-        run_session(schedule_session(topo, "alice", "bob", 1e-3, seed=1))
+        run_session(link, 1e-3, seed=1)
     assert drawn == []
 
 
 def test_session_peak_memory_is_set_by_a_slice():
     # dense_025km settings: nine times the source time may raise the traced
-    # peak by at most 10%.
-    topo = _topology(
-        ChannelConfig(0.25, traffic=ACTIVE), ChannelConfig(0.25, traffic=ACTIVE), 4e5
-    )
+    # peak by at most 10%, and no peak may pass 24 MiB. A slice's arrays
+    # peaked at 19.3-19.9 MiB with Python 3.11 and numpy 2.4.
+    link = _link(ChannelConfig(0.25, traffic=ACTIVE), ChannelConfig(0.25, traffic=ACTIVE), 4e5)
     peaks = {}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ModeFilterWarning)
         for duration_s in (10.0, 90.0):
-            plan = schedule_session(topo, "alice", "bob", duration_s, seed=3)
-            (_, artifacts), peaks[duration_s] = traced_peak(run_session, plan)
+            (_, artifacts), peaks[duration_s] = traced_peak(run_session, link, duration_s, 3)
             assert sum(c.tags_a for c in artifacts.slices) > duration_s * 1e5
     assert peaks[90.0] <= 1.1 * peaks[10.0], peaks
+    assert max(peaks.values()) <= 24 * 2**20, peaks
 
 
 @pytest.mark.parametrize("counts, reached", [((4, 2, 3), 1), ((6, 1), 0)])
@@ -395,10 +384,8 @@ def test_offset_recovered_in_the_slice_where_a_reaches_the_prefix(monkeypatch, c
     # that slice, from those 6 tags, and not a slice earlier or later.
     monkeypatch.setattr(netsim, "SLICE_PAIRS", 1)
     monkeypatch.setattr(tagproc, "_FINE_SOURCE_TAGS", 6)
-    topo = _quiet_topology(dead_time_ns=0.0)
-    probe = schedule_session(topo, "alice", "bob", 1.0, seed=0)
-    slice_ps = _slice_ps(topo, probe)
-    netsim.release_session(probe)
+    link = _quiet_link(dead_time_ns=0.0)
+    slice_ps = _slice_ps(link, 1.0)
 
     def sample(*args, start_ps=0, first_pair_id=0, **kwargs):
         n = counts[start_ps // slice_ps]
@@ -415,8 +402,7 @@ def test_offset_recovered_in_the_slice_where_a_reaches_the_prefix(monkeypatch, c
 
     monkeypatch.setattr(receiver, "sample_pair_tags", sample)
     monkeypatch.setattr(tagproc, "find_offset", find_offset)
-    plan = schedule_session(topo, "alice", "bob", len(counts) * slice_ps / PS_PER_SECOND, seed=0)
     with pytest.warns(ModeFilterWarning):
-        _, artifacts = run_session(plan)
+        _, artifacts = run_session(link, len(counts) * slice_ps / PS_PER_SECOND, seed=0)
     assert searched == [(6, 6)]
     assert [c.records for c in artifacts.slices] == [0] * reached + [6] + list(counts[reached + 1:])
