@@ -26,12 +26,16 @@ from .distill import KeyRateReport
 from .netsim import Link, check_analysis, predict_key_rates, run_session
 from .pairgen import SourceParams
 
-SCENARIOS = ("single_run", "length_sweep", "traffic_sweep", "extrapolation")
+# Each scenario's arm lengths when the config names none.
+DEFAULT_LENGTHS_KM = {
+    "single_run": (1.0,),
+    "length_sweep": (0.25, 0.5, 1.0, 2.0, 3.0),
+    "traffic_sweep": (4.0,),
+    "extrapolation": (1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 10.0, 12.0),
+}
+SCENARIOS = tuple(DEFAULT_LENGTHS_KM)
 
-LENGTH_SWEEP_KM = (0.25, 0.5, 1.0, 2.0, 3.0)
 TRAFFIC_SWEEP_MBPS = (0.0, 25.0, 50.0, 75.0, 100.0)
-TRAFFIC_SWEEP_LENGTH_KM = 4.0
-EXTRAPOLATION_LENGTHS_KM = (1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 10.0, 12.0)
 EXTRAPOLATION_PAIR_RATE = 15e6
 
 
@@ -68,42 +72,41 @@ class ExperimentConfig:
     epsilon: float = distill.DEFAULT_EPSILON
     qber_drift_per_s: float = 0.0
 
-    def validate(self) -> None:
-        self.validate_experiment()
-        self.validate_analysis()
-
-    def validate_experiment(self) -> None:
-        """Check the fields of the INI's [experiment] section."""
-        if self.scenario not in SCENARIOS:
-            raise ValueError(
-                f"scenario must be one of {SCENARIOS}, got {self.scenario!r}"
+    def validate(self, path=None) -> None:
+        """Range-check the values of every INI section and build the run's
+        grid, so that a bad value fails before any file is written. The
+        error names ``path:section:``, or ``section:`` when path is None."""
+        with _located(path, "experiment"):
+            if self.scenario not in SCENARIOS:
+                raise ValueError(
+                    f"scenario must be one of {SCENARIOS}, got {self.scenario!r}"
+                )
+            if self.repetitions < 1:
+                raise ValueError(f"repetitions must be >= 1, got {self.repetitions}")
+            if not (math.isfinite(self.duration_s) and self.duration_s > 0):
+                raise ValueError(f"duration_s must be > 0, got {self.duration_s}")
+            if not self.resolved_lengths_km():
+                raise ValueError(f"empty length list for scenario {self.scenario!r}")
+            if self.scenario == "traffic_sweep" and not self.traffics_mbps:
+                raise ValueError("empty traffic list for scenario 'traffic_sweep'")
+        with _located(path, "channel"):
+            _channel_for(self, 0.0, self.traffic)
+        with _located(path, "source"):
+            SourceParams(self.pair_rate, self.intrinsic_visibility)
+            SourceParams(self.extrapolation_pair_rate, self.intrinsic_visibility)
+        with _located(path, "analysis"):
+            check_analysis(
+                self.coincidence_window_ps, self.ec_inefficiency, self.epsilon,
+                self.qber_drift_per_s,
             )
-        if self.repetitions < 1:
-            raise ValueError(f"repetitions must be >= 1, got {self.repetitions}")
-        if not (math.isfinite(self.duration_s) and self.duration_s > 0):
-            raise ValueError(f"duration_s must be > 0, got {self.duration_s}")
-        if not self.resolved_lengths_km():
-            raise ValueError(f"empty length list for scenario {self.scenario!r}")
-        if self.scenario == "traffic_sweep" and not self.traffics_mbps:
-            raise ValueError("empty traffic list for scenario 'traffic_sweep'")
-
-    def validate_analysis(self) -> None:
-        """Range-check the fields of the INI's [analysis] section, named by
-        their INI keys."""
-        check_analysis(
-            self.coincidence_window_ps, self.ec_inefficiency, self.epsilon, self.qber_drift_per_s
-        )
+        # With the channel values valid, only a length or a traffic level fails here.
+        with _located(path, "experiment"):
+            _grid(self)
 
     def resolved_lengths_km(self) -> list[float]:
         if self.lengths_km is not None:
             return list(self.lengths_km)
-        if self.scenario == "length_sweep":
-            return list(LENGTH_SWEEP_KM)
-        if self.scenario == "extrapolation":
-            return list(EXTRAPOLATION_LENGTHS_KM)
-        if self.scenario == "traffic_sweep":
-            return [TRAFFIC_SWEEP_LENGTH_KM]
-        return [1.0]
+        return list(DEFAULT_LENGTHS_KM[self.scenario])
 
 
 # The ExperimentConfig fields that each of these INI sections sets, by key.
@@ -183,31 +186,24 @@ def load_config(path=None) -> ExperimentConfig:
         for key, value in values.get(section, {}).items():
             setattr(config, _ALIASES.get(key, key), value)
     config.channel = values.get("channel", {})
-    # Check each section here, building its dataclass where it has one, so
-    # that a value out of range fails now and names its place in the file.
-    with _located(path, "experiment"):
-        config.validate_experiment()
+    # A value out of range fails now and names its place in the file.
     with _located(path, "traffic"):
         config.traffic = dataclasses.replace(config.traffic, **values.get("traffic", {}))
     with _located(path, "detector"):
         config.detector = dataclasses.replace(config.detector, **values.get("detector", {}))
-    with _located(path, "channel"):
-        _channel_for(config, 0.0, config.traffic)
-    with _located(path, "source"):
-        SourceParams(config.pair_rate, config.intrinsic_visibility)
-        SourceParams(config.extrapolation_pair_rate, config.intrinsic_visibility)
-    with _located(path, "analysis"):
-        config.validate_analysis()
+    config.validate(path)
     return config
 
 
 @contextlib.contextmanager
 def _located(path, section: str):
-    """Prefix a ValueError raised in the block with ``file:section:``."""
+    """Prefix a ValueError raised in the block with ``file:section:``, or
+    with ``section:`` when there is no file."""
     try:
         yield
     except ValueError as exc:
-        raise ValueError(f"{path}:{section}: {exc}") from exc
+        place = section if path is None else f"{path}:{section}"
+        raise ValueError(f"{place}: {exc}") from exc
 
 
 def emit_csv(rows: list[dict], path, fieldnames: list[str]) -> Path:
@@ -270,8 +266,9 @@ def run_experiment(config: ExperimentConfig) -> dict[str, Path]:
 
 
 def _grid(config: ExperimentConfig) -> list[tuple[tuple[int, ...], dict, ChannelConfig]]:
-    """Every point of a session scenario as (seed key, row labels, arm). Building
-    each point's arm checks its settings, so a bad point fails before any session."""
+    """Every point of a scenario as (seed key, row labels, arm); the
+    extrapolation's points draw no seed. Building each point's arm checks
+    its settings, so a bad point fails before any session."""
     lengths = config.resolved_lengths_km()
     if config.scenario == "length_sweep":
         dark = ClassicalTraffic(direction=TrafficDirection.NONE)
@@ -292,7 +289,9 @@ def _grid(config: ExperimentConfig) -> list[tuple[tuple[int, ...], dict, Channel
             )
             for ti, mbps in enumerate(config.traffics_mbps)
         ]
-    return [((), {"length_km": lengths[0]}, _channel_for(config, lengths[0], config.traffic))]
+    if config.scenario != "extrapolation":
+        lengths = lengths[:1]
+    return [((), {"length_km": km}, _channel_for(config, km, config.traffic)) for km in lengths]
 
 
 # One summary line per point, formatted from the point's row; the row's
@@ -437,8 +436,7 @@ def _run_extrapolation(config) -> list[dict]:
         pair_rate=config.extrapolation_pair_rate,
         intrinsic_visibility=config.intrinsic_visibility,
     )
-    for length in config.resolved_lengths_km():
-        arm = _channel_for(config, length, config.traffic)
+    for _, _, arm in _grid(config):
         report = predict_key_rates(
             source,
             arm,

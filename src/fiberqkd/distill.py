@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -25,19 +24,6 @@ _MAX_SEARCH_BITS = 2**40
 
 class KeyRateError(ValueError):
     """No positive secret key is possible for the given error rate."""
-
-
-@dataclass(eq=False)
-class SiftedKey:
-    """Raw key bits of both parties after basis reconciliation."""
-
-    bits_a: np.ndarray  # uint8
-    bits_b: np.ndarray  # uint8
-    qber: float
-    duration_s: float
-
-    def __len__(self) -> int:
-        return int(self.bits_a.size)
 
 
 @dataclass(frozen=True)
@@ -69,27 +55,20 @@ class KeyRateReport:
         return {name: getattr(self, name) for name in self.CSV_FIELDS}
 
 
-def sift(records: Coincidences, duration_s: float = 0.0) -> SiftedKey:
-    """Keep matched-basis records and read the key bits off the detectors."""
-    matched = (records.det_a >> 1) == (records.det_b >> 1)
-    if not matched.any():
-        raise ValueError("no matched-basis records to sift")
-    bits_a = (records.det_a[matched] & 1).astype(np.uint8)
-    bits_b = (records.det_b[matched] & 1).astype(np.uint8)
-    qber = float(np.count_nonzero(bits_a != bits_b)) / bits_a.size
-    return SiftedKey(bits_a=bits_a, bits_b=bits_b, qber=qber, duration_s=duration_s)
-
-
-class SiftTally(NamedTuple):
+@dataclass(frozen=True)
+class SiftTally:
     """How many matched-basis records a run of records holds and how many
-    of their bit pairs differ: the length and error count of the key that
-    ``sift`` builds, added up part by part."""
+    of their bit pairs differ: the length and error count of its sifted
+    key, added up part by part."""
 
     bits: int = 0
     errors: int = 0
 
     def __add__(self, other: "SiftTally") -> "SiftTally":
         return SiftTally(self.bits + other.bits, self.errors + other.errors)
+
+    def __len__(self) -> int:
+        return self.bits
 
     @property
     def qber(self) -> float:
@@ -99,11 +78,20 @@ class SiftTally(NamedTuple):
 
 
 def sift_tally(records: Coincidences) -> SiftTally:
-    """The tally of ``sift(records)``, without building the key; records
-    with no matched basis give a zero tally."""
+    """Keep the matched-basis records and count the bit pairs that differ;
+    records with no matched basis give a zero tally."""
     matched = (records.det_a >> 1) == (records.det_b >> 1)
     differ = (records.det_a ^ records.det_b) & 1
     return SiftTally(int(np.count_nonzero(matched)), int(np.count_nonzero(differ[matched])))
+
+
+def sift(records: Coincidences, duration_s: float = 0.0) -> SiftTally:
+    """``sift_tally(records)``, which must hold at least one bit;
+    ``duration_s`` is read by nothing and stays for callers that pass it."""
+    tally = sift_tally(records)
+    if tally.bits == 0:
+        raise ValueError("no matched-basis records to sift")
+    return tally
 
 
 def binary_entropy(p: float) -> float:

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -86,7 +85,8 @@ class Link:
         )
 
 
-class SliceCounts(NamedTuple):
+@dataclass(frozen=True)
+class SliceCounts:
     """One slice of a session: when it starts, how many clicking pairs it
     drew, and what became final in its step. Tags wait past the slice end
     that drew them (see ``run_session``), so a step's tags and records are

@@ -368,13 +368,19 @@ def test_load_config_rejects_unknown_or_unparseable(tmp_path, text, location):
 
 
 def test_sweep_grid_checked_before_any_session(tmp_path, monkeypatch):
+    # Every point's arm is built when the config is checked: an INI with a
+    # bad second length fails to load, and the same config built in code
+    # fails in run_experiment before its first session.
     ini = tmp_path / "exp.ini"
     ini.write_text("[experiment]\nscenario = length_sweep\nlengths_km = 1, -2\n")
-    config = load_config(ini)
-    config.output_dir = str(tmp_path / "out")
+    with pytest.raises(ValueError, match=re.escape(f"{ini}:experiment: length_km must")):
+        load_config(ini)
+    config = _fast_config(
+        scenario="length_sweep", lengths_km=[1.0, -2.0], output_dir=str(tmp_path / "out")
+    )
     sessions = []
     monkeypatch.setattr(cli, "run_session", sessions.append)
-    with pytest.raises(ValueError, match="length_km"):
+    with pytest.raises(ValueError, match="experiment: length_km must"):
         run_experiment(config)
     assert sessions == []
 
@@ -383,6 +389,13 @@ OUT_OF_RANGE_INI = [
     ("[experiment]\nscenario = foo\n", "experiment:", "scenario"),
     ("[experiment]\nrepetitions = 0\n", "experiment:", "repetitions"),
     ("[experiment]\nduration_s = -1\n", "experiment:", "duration_s"),
+    ("[experiment]\nscenario = length_sweep\nlengths_km = 1, -2\n", "experiment:", "length_km"),
+    ("[experiment]\nlengths_km = nan\n", "experiment:", "length_km"),
+    (
+        "[experiment]\nscenario = traffic_sweep\ntraffics_mbps = 0, -5\n",
+        "experiment:",
+        "data_rate_mbps",
+    ),
     ("[detector]\nefficiency = 1.5\n", "detector:", "efficiency"),
     ("[channel]\nsecond_mode_fraction = 1.5\n", "channel:", "second_mode_fraction"),
     ("[source]\npair_rate = -1\n", "source:", "pair_rate"),
@@ -409,24 +422,36 @@ def test_load_config_rejects_out_of_range(tmp_path, text, location, name):
         load_config(ini)
 
 
-ANALYSIS_OUT_OF_RANGE = [
-    ("coincidence_window_ps", -10, "coincidence_window_ps"),
-    ("ec_inefficiency", 0.5, "error_correction_inefficiency"),
-    ("epsilon", 2.0, "security_epsilon"),
-    ("qber_drift_per_s", float("nan"), "qber_drift_per_s"),
+# (field overrides, section, name in the message) for configs built in code.
+CODE_OUT_OF_RANGE = [
+    ({"coincidence_window_ps": -10}, "analysis", "coincidence_window_ps"),
+    ({"ec_inefficiency": 0.5}, "analysis", "error_correction_inefficiency"),
+    ({"epsilon": 2.0}, "analysis", "security_epsilon"),
+    ({"qber_drift_per_s": float("nan")}, "analysis", "qber_drift_per_s"),
+    ({"channel": {"second_mode_fraction": 1.5}}, "channel", "second_mode_fraction"),
+    ({"pair_rate": -1}, "source", "pair_rate"),
+    (
+        {"scenario": "extrapolation", "extrapolation_pair_rate": -1},
+        "source",
+        "pair_rate",
+    ),
 ]
 
 
 @pytest.mark.parametrize(
-    "field, value, name", ANALYSIS_OUT_OF_RANGE, ids=[f for f, _, _ in ANALYSIS_OUT_OF_RANGE]
+    "overrides, section, name",
+    CODE_OUT_OF_RANGE,
+    ids=[",".join(o) for o, _, _ in CODE_OUT_OF_RANGE],
 )
-def test_run_experiment_rejects_out_of_range_analysis(tmp_path, monkeypatch, field, value, name):
-    # A config built in code reaches the same [analysis] checks as an INI
-    # file, through validate(), before any session runs.
+def test_run_experiment_rejects_out_of_range_values(
+    tmp_path, monkeypatch, overrides, section, name
+):
+    # A config built in code reaches the same checks as an INI file,
+    # through validate(), before any session runs or any file is written.
     sessions = []
     monkeypatch.setattr(cli, "run_session", lambda *args, **kwargs: sessions.append(args))
-    config = _fast_config(output_dir=str(tmp_path / "out"), **{field: value})
-    with pytest.raises(ValueError, match=re.escape(f"{name} must")):
+    config = _fast_config(output_dir=str(tmp_path / "out"), **overrides)
+    with pytest.raises(ValueError, match=re.escape(f"{section}: {name} must")):
         run_experiment(config)
     assert sessions == []
     assert not (tmp_path / "out").exists()

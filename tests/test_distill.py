@@ -64,7 +64,6 @@ def test_sift_qber_matches_brute_force(rng):
                 discordant += 1
     assert len(key) == matched
     assert key.qber == pytest.approx(discordant / matched)
-    assert key.duration_s == 2.0
 
 
 def test_binary_entropy_boundaries():

@@ -175,21 +175,23 @@ def test_active_and_dark_agree_at_3km():
     assert abs(q_active - q_dark) <= 0.02 + 4 * sigma
 
 
-def test_arm_symmetry_under_user_swap():
+def test_arm_symmetry_under_arm_swap():
     # An asymmetric link with its arms swapped: the mode filter and the
     # sifting treat both ends alike, so the QBER does not see the swap.
     source = SourceParams(pair_rate=3e5, intrinsic_visibility=0.95)
     short, long = (ChannelConfig(length_km=km, traffic=ClassicalTraffic()) for km in (1.0, 1.5))
     links = {"ab": Link(short, long, source), "ba": Link(long, short, source)}
-    qber = {key: [] for key in links}
+    reports = {key: [] for key in links}
     for seed in range(4):
         for key, link in links.items():
             report, _ = run_session(link, 3.0, seed=300 + seed)
-            qber[key].append(report.qber)
-    mean_ab, mean_ba = np.mean(qber["ab"]), np.mean(qber["ba"])
-    # Runs here sift about 6,900 bits each; 2,500 keeps the bound wide.
-    n_each = 4 * 2500
-    sigma = math.sqrt(2 * 0.026 * 0.974 / n_each)
+            reports[key].append(report)
+    runs = reports["ab"] + reports["ba"]
+    pooled = sum(r.qber * r.sifted_bits for r in runs) / sum(r.sifted_bits for r in runs)
+    # Each mean is over four runs, so its variance is q(1-q)/16 times the
+    # sum of 1/n over its runs; sigma is that of the difference of the means.
+    sigma = math.sqrt(pooled * (1 - pooled) / 16 * sum(1 / r.sifted_bits for r in runs))
+    mean_ab, mean_ba = (np.mean([r.qber for r in reports[key]]) for key in ("ab", "ba"))
     assert abs(mean_ab - mean_ba) < 4 * sigma
 
 
@@ -234,6 +236,38 @@ def test_prediction_matches_simulation():
     sigma = math.sqrt(predicted.qber * (1 - predicted.qber) / simulated.sifted_bits)
     assert abs(predicted.qber - simulated.qber) < 4 * sigma + 0.002
     assert predicted.sifted_rate == pytest.approx(simulated.sifted_rate, rel=0.05)
+
+
+def test_prediction_at_zero_jitter_captures_the_window_edge_to_edge():
+    # With no jitter a mode is captured whole or not at all; at 1e-3 ps
+    # the normal CDFs give the same capture to double precision.
+    source = SourceParams(pair_rate=4e5, intrinsic_visibility=0.95)
+    arm = ChannelConfig(length_km=2.0)
+    sharp, near = (
+        predict_key_rates(source, arm, arm, detector=DetectorParams(jitter_sigma_ps=jitter))
+        for jitter in (0.0, 1e-3)
+    )
+    assert sharp.qber == pytest.approx(0.025436, abs=1e-6)
+    assert sharp.sifted_rate == pytest.approx(1295.04, abs=0.01)
+    assert sharp.retained_fraction == pytest.approx(0.97372, abs=1e-5)
+    for name in ("qber", "sifted_rate", "retained_fraction"):
+        assert getattr(sharp, name) == pytest.approx(getattr(near, name), rel=1e-12)
+
+
+def test_prediction_without_any_click_raises():
+    source = SourceParams(pair_rate=4e5, intrinsic_visibility=0.95)
+    arm = ChannelConfig(length_km=1.0, traffic=_dark())
+    with pytest.raises(ValueError, match="operating point yields no coincidences"):
+        predict_key_rates(source, arm, arm, detector=DetectorParams(efficiency=0.0, dark_cps=0.0))
+
+
+def test_session_rejects_more_tags_than_int32_indices_reach(monkeypatch):
+    # The matcher checks each side's running tag count against MAX_TAGS
+    # before it holds a slice; lowered to 50,000, a 2 s session at 1 km
+    # and 4e5 pairs/s passes it in its first slice.
+    monkeypatch.setattr(netsim, "MAX_TAGS", 50_000)
+    with pytest.raises(ValueError, match="stream A holds more than the 50000 tags"):
+        run_session(_link(length_km=1.0, pair_rate=4e5), 2.0, seed=5)
 
 
 BAD_ANALYSIS = [

@@ -30,7 +30,7 @@ from fiberqkd.channel import (
     TrafficDirection,
     background_rate_per_detector,
 )
-from fiberqkd.distill import SiftTally, sift
+from fiberqkd.distill import sift, sift_tally
 from fiberqkd.netsim import Link, SliceOrderError, run_session
 from fiberqkd.pairgen import PS_PER_SECOND, SourceParams
 from fiberqkd.receiver import DetectorParams, TagOrigin, TagStream
@@ -130,11 +130,6 @@ def _whole_stream(link, duration_s, fresh, offset=None):
     return streams, offset, records, filtered
 
 
-def _tally(records) -> SiftTally:
-    key = sift(records)
-    return SiftTally(len(key), int(np.count_nonzero(key.bits_a != key.bits_b)))
-
-
 def _assert_session_equals_whole_stream(link, duration_s, seed, fresh, offset=None):
     sink = SessionSink()
     with warnings.catch_warnings():
@@ -151,8 +146,8 @@ def _assert_session_equals_whole_stream(link, duration_s, seed, fresh, offset=No
     assert report.sifted_bits == len(key)
     assert report.qber == key.qber
     assert report.retained_fraction == len(filtered) / len(records)
-    assert artifacts.wide_sift == _tally(records)
-    assert artifacts.filtered_sift == _tally(filtered)
+    assert artifacts.wide_sift == sift_tally(records)
+    assert artifacts.filtered_sift == sift_tally(filtered)
     assert [c.start_ps for c in artifacts.slices] == [s for s, _, _ in _slices(link, duration_s)]
     assert sink.calls == len(artifacts.slices)
     assert sum(c.tags_a for c in artifacts.slices) == len(streams[0])

@@ -249,6 +249,18 @@ def test_find_offset_no_pairing_in_span_raises():
         find_offset(tags_a, tags_b)
 
 
+def test_peak_shortfall_needs_five_sigma_over_the_median():
+    # 600 of 1,001 bins at 100: a bin at 125 is far beyond the chance bound
+    # over a mean of 60 per bin, yet under 5 sigma over the median floor of
+    # 100, which a bin at 150 reaches.
+    counts = np.zeros(1001, dtype=np.int64)
+    counts[:600] = 100
+    counts[700] = 125
+    assert tagproc._peak_shortfall(counts) == "max bin 125 vs floor 100.0 (needs 5.0 sigma)"
+    counts[700] = 150
+    assert tagproc._peak_shortfall(counts) is None
+
+
 def _sparse_times(n, seed):
     # Gaps of 20 ns plus an exponential 20 us: no B-minus-A difference of
     # two different tags falls within 20 ns of the shift.
