@@ -70,12 +70,13 @@ class ExperimentConfig:
     coincidence_window_ps: int = tagproc.DEFAULT_COINCIDENCE_WINDOW_PS
     ec_inefficiency: float = distill.DEFAULT_EC_INEFFICIENCY
     epsilon: float = distill.DEFAULT_EPSILON
-    qber_drift_per_s: float = 0.0
 
     def validate(self, path=None) -> None:
-        """Range-check the values of every INI section and build the run's
-        grid, so that a bad value fails before any file is written. The
-        error names ``path:section:``, or ``section:`` when path is None."""
+        """Range-check the values of every INI section, each configured
+        length and traffic level included, and reject a ``channel`` key
+        outside the schema, so that a bad value fails before any file is
+        written. The error names ``path:section:``, or ``section:`` when
+        path is None."""
         with _located(path, "experiment"):
             if self.scenario not in SCENARIOS:
                 raise ValueError(
@@ -90,18 +91,22 @@ class ExperimentConfig:
             if self.scenario == "traffic_sweep" and not self.traffics_mbps:
                 raise ValueError("empty traffic list for scenario 'traffic_sweep'")
         with _located(path, "channel"):
+            unknown = sorted(set(self.channel) - set(CONFIG_SCHEMA["channel"]))
+            if unknown:
+                raise ValueError(f"unknown key {unknown[0]!r}")
             _channel_for(self, 0.0, self.traffic)
         with _located(path, "source"):
             SourceParams(self.pair_rate, self.intrinsic_visibility)
             SourceParams(self.extrapolation_pair_rate, self.intrinsic_visibility)
         with _located(path, "analysis"):
-            check_analysis(
-                self.coincidence_window_ps, self.ec_inefficiency, self.epsilon,
-                self.qber_drift_per_s,
-            )
-        # With the channel values valid, only a length or a traffic level fails here.
+            check_analysis(self.coincidence_window_ps, self.ec_inefficiency, self.epsilon)
+        # Every length and traffic level is checked, whichever ones the
+        # scenario runs, so every point of its grid is valid.
         with _located(path, "experiment"):
-            _grid(self)
+            for km in self.resolved_lengths_km():
+                _channel_for(self, km, self.traffic)
+            for mbps in self.traffics_mbps:
+                dataclasses.replace(self.traffic, data_rate_mbps=mbps)
 
     def resolved_lengths_km(self) -> list[float]:
         if self.lengths_km is not None:
@@ -117,10 +122,7 @@ _SECTION_KEYS = {
         "output_dir", "dump_tags", "dump_coincidences",
     ),
     "source": ("pair_rate", "intrinsic_visibility", "extrapolation_pair_rate"),
-    "analysis": (
-        "coincidence_window_ps", "error_correction_inefficiency", "security_epsilon",
-        "qber_drift_per_s",
-    ),
+    "analysis": ("coincidence_window_ps", "error_correction_inefficiency", "security_epsilon"),
 }
 # INI keys whose ExperimentConfig field has another name.
 _ALIASES = {"error_correction_inefficiency": "ec_inefficiency", "security_epsilon": "epsilon"}
@@ -267,8 +269,7 @@ def run_experiment(config: ExperimentConfig) -> dict[str, Path]:
 
 def _grid(config: ExperimentConfig) -> list[tuple[tuple[int, ...], dict, ChannelConfig]]:
     """Every point of a scenario as (seed key, row labels, arm); the
-    extrapolation's points draw no seed. Building each point's arm checks
-    its settings, so a bad point fails before any session."""
+    extrapolation's points draw no seed."""
     lengths = config.resolved_lengths_km()
     if config.scenario == "length_sweep":
         dark = ClassicalTraffic(direction=TrafficDirection.NONE)
@@ -365,7 +366,6 @@ def _run_sessions(config, out_dir: Path) -> tuple[list[dict], dict[str, Path]]:
             link = Link(
                 arm, arm, source,
                 detector=config.detector,
-                qber_drift_per_s=config.qber_drift_per_s,
                 coincidence_window_ps=config.coincidence_window_ps,
                 ec_inefficiency=config.ec_inefficiency,
                 epsilon=config.epsilon,

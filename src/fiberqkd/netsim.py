@@ -43,12 +43,7 @@ class SliceOrderError(RuntimeError):
     """A tag of a later slice landed behind tags already processed."""
 
 
-def check_analysis(
-    coincidence_window_ps: int,
-    ec_inefficiency: float,
-    epsilon: float,
-    qber_drift_per_s: float,
-) -> None:
+def check_analysis(coincidence_window_ps: int, ec_inefficiency: float, epsilon: float) -> None:
     """Range-check the analysis settings of a link, named by their INI keys
     in the ``[analysis]`` section."""
     if coincidence_window_ps < 0:
@@ -57,8 +52,6 @@ def check_analysis(
         raise ValueError(f"error_correction_inefficiency must be >= 1, got {ec_inefficiency}")
     if not (0.0 < epsilon < 1.0):
         raise ValueError(f"security_epsilon must be in (0, 1), got {epsilon}")
-    if not math.isfinite(qber_drift_per_s):
-        raise ValueError(f"qber_drift_per_s must be finite, got {qber_drift_per_s}")
 
 
 @dataclass(frozen=True)
@@ -74,15 +67,12 @@ class Link:
     arm_b: ChannelConfig
     source: SourceParams
     detector: DetectorParams = DetectorParams()
-    qber_drift_per_s: float = 0.0
     coincidence_window_ps: int = tagproc.DEFAULT_COINCIDENCE_WINDOW_PS
     ec_inefficiency: float = distill.DEFAULT_EC_INEFFICIENCY
     epsilon: float = distill.DEFAULT_EPSILON
 
     def __post_init__(self) -> None:
-        check_analysis(
-            self.coincidence_window_ps, self.ec_inefficiency, self.epsilon, self.qber_drift_per_s
-        )
+        check_analysis(self.coincidence_window_ps, self.ec_inefficiency, self.epsilon)
 
 
 @dataclass(frozen=True)
@@ -220,7 +210,6 @@ def run_session(
             det,
             slice_s,
             s_pairs,
-            qber_drift_per_s=link.qber_drift_per_s,
             start_ps=start,
             first_pair_id=next_id,
         )

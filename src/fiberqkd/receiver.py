@@ -191,7 +191,6 @@ def sample_pair_tags(
     detector: DetectorParams,
     duration_s: float,
     seed,
-    qber_drift_per_s: float = 0.0,
     *,
     start_ps: int = 0,
     first_pair_id: int = 0,
@@ -209,10 +208,6 @@ def sample_pair_tags(
     jitter. A pair that clicks on both sides with both photons first-order
     and matching bases has outcomes correlated with contrast
     ``source.intrinsic_visibility``; every other outcome is uniform.
-    ``qber_drift_per_s`` adds a linear term in the absolute arrival time to
-    the matched-basis error probability, clamped to [0, 0.5], to emulate
-    slow polarization drift of the link; 0 disables it, and a value that
-    is not finite raises ValueError.
 
     ``run_session`` calls this once per slice of a session, with the
     slice's start tick ``start_ps`` and its first pair id. The clicking
@@ -229,8 +224,6 @@ def sample_pair_tags(
     """
     if not (math.isfinite(duration_s) and duration_s > 0):
         raise ValueError(f"duration_s must be finite and > 0, got {duration_s}")
-    if not math.isfinite(qber_drift_per_s):
-        raise ValueError(f"qber_drift_per_s must be finite, got {qber_drift_per_s}")
     budget = link_budget(config_a, config_b, detector)
     probs = budget.class_probs.ravel()
     p_click = float(probs.sum())
@@ -248,9 +241,7 @@ def sample_pair_tags(
     )
     emitted.sort()
     # Lists, so that each unsorted column goes once its sorted copy exists.
-    idx, second, detectors = map(
-        list, _draw_outcomes(rng, source, budget, probs / p_click, emitted, qber_drift_per_s)
-    )
+    idx, second, detectors = map(list, _draw_outcomes(rng, source, probs / p_click, n))
     # Both sides' times are gathered before the jitter draws, so that the
     # n emission ticks are freed before either side's jitter is drawn.
     times = [emitted[i] for i in idx]
@@ -293,7 +284,7 @@ def sample_pair_tags(
     return streams[0], streams[1]
 
 
-def _draw_outcomes(rng, source, budget, p, emitted, qber_drift_per_s):
+def _draw_outcomes(rng, source, p, n):
     """Per side (A, B): the indices of the clicking pairs among the n
     events, int32; the mask of second-order photons; and the detectors.
 
@@ -301,7 +292,7 @@ def _draw_outcomes(rng, source, budget, p, emitted, qber_drift_per_s):
     B, then the correlation flips. The class arrays and the basis and bit
     rows are scratch and go when this returns.
     """
-    classes = _draw_classes(rng, p, emitted.size)
+    classes = _draw_classes(rng, p, n)
     mode = classes // 3
     click = classes - 3 * mode
     del classes
@@ -320,9 +311,6 @@ def _draw_outcomes(rng, source, budget, p, emitted, qber_drift_per_s):
     del mode
     at_a, at_b = both_a[correlated], both_b[correlated]
     error_p = matched_basis_error_probability(source.intrinsic_visibility)
-    if qber_drift_per_s != 0.0:
-        arrival_s = (emitted[idx_a[at_a]] + budget.first_order_delay_ps[0]) / PS_PER_SECOND
-        error_p = np.clip(error_p + qber_drift_per_s * arrival_s, 0.0, 0.5)
     bit_b[at_b] = bit_a[at_a] ^ (rng.random(at_a.size) < error_p)
     return (idx_a, idx_b), second, (2 * basis_a + bit_a, 2 * basis_b + bit_b)
 
@@ -394,9 +382,14 @@ def add_noise_tags(
 def merge_streams(first: TagStream, second: TagStream) -> TagStream:
     """Merge two streams sorted by time into one, as a stable sort of
     ``first`` followed by ``second`` would: at equal times the tags of
-    ``first`` come first. An empty side gives the other stream back."""
+    ``first`` come first. An empty side gives the other stream back, and
+    two streams that do not overlap in time are concatenated."""
     if len(first) == 0 or len(second) == 0:
         return second if len(first) == 0 else first
+    if first.times_ps[-1] <= second.times_ps[0]:
+        return TagStream.concat([first, second])
+    if second.times_ps[-1] < first.times_ps[0]:
+        return TagStream.concat([second, first])
     # Each tag of ``second`` goes after the tags of ``first`` at or before
     # its time and after the tags of ``second`` ahead of it.
     at = np.searchsorted(first.times_ps, second.times_ps, side="right")

@@ -186,7 +186,6 @@ def detect_pairs(
     det_a: DetectorParams,
     det_b: DetectorParams,
     seed,
-    qber_drift_per_s: float = 0.0,
 ) -> tuple[TagStream, TagStream]:
     """Measure both arms and emit one click stream per party.
 
@@ -198,10 +197,6 @@ def detect_pairs(
     detector efficiency, reduced by the second-mode rejection for photons
     in the delayed mode. Tag time is arrival plus Gaussian timing jitter,
     rounded to ps.
-
-    ``qber_drift_per_s`` adds a linear-in-time term to the matched-basis
-    error probability (clamped to [0, 0.5]) to emulate slow polarization
-    drift of the link; 0 disables it.
 
     Deterministic under ``seed``; the draw order is basis A, basis B,
     outcome A, correlation flip, uncorrelated outcome B, detection A,
@@ -224,10 +219,7 @@ def detect_pairs(
     flip_draw = rng.random(n)
     bit_b_uncorrelated = rng.integers(0, 2, size=n, dtype=np.int8)
 
-    error_p = np.full(n, matched_basis_error_probability(visibility_first_order))
-    if qber_drift_per_s != 0.0:
-        t_seconds = transits_a.arrival_ps / PS_PER_SECOND
-        error_p = np.clip(error_p + qber_drift_per_s * t_seconds, 0.0, 0.5)
+    error_p = matched_basis_error_probability(visibility_first_order)
     correlated = (
         (basis_a == basis_b) & ~transits_a.depolarized & ~transits_b.depolarized
     )

@@ -345,7 +345,7 @@ def test_example_config_documents_exactly_the_schema():
     documented = {(section, key) for section in parser.sections() for key in parser[section]}
     schema = {(section, key) for section, keys in cli.CONFIG_SCHEMA.items() for key in keys}
     assert documented == schema
-    assert len(schema) == 31
+    assert len(schema) == 30
 
 
 BAD_INI = [
@@ -356,6 +356,7 @@ BAD_INI = [
     ("[experiment]\nrepetitions = two\n", "experiment:repetitions"),
     ("[experiment]\ndump_tags = maybe\n", "experiment:dump_tags"),
     ("[DEFAULT]\nseed = 3\n", "DEFAULT"),
+    ("[analysis]\nqber_drift_per_s = 0\n", "analysis:qber_drift_per_s"),
 ]
 
 
@@ -406,7 +407,6 @@ OUT_OF_RANGE_INI = [
         "error_correction_inefficiency",
     ),
     ("[analysis]\nsecurity_epsilon = 2\n", "analysis:", "security_epsilon"),
-    ("[analysis]\nqber_drift_per_s = nan\n", "analysis:", "qber_drift_per_s"),
 ]
 
 
@@ -422,12 +422,39 @@ def test_load_config_rejects_out_of_range(tmp_path, text, location, name):
         load_config(ini)
 
 
+# Lengths and traffic levels that the scenario does not run are checked
+# all the same.
+UNRUN_ENTRY_INI = [
+    pytest.param("[experiment]\nlengths_km = 1, -2\n", "length_km", id="single_run,lengths_km"),
+    pytest.param(
+        "[experiment]\nscenario = traffic_sweep\nlengths_km = 1, nan\n",
+        "length_km",
+        id="traffic_sweep,lengths_km",
+    ),
+    pytest.param(
+        "[experiment]\nscenario = length_sweep\ntraffics_mbps = -5\n",
+        "data_rate_mbps",
+        id="length_sweep,traffics_mbps",
+    ),
+    pytest.param(
+        "[experiment]\ntraffics_mbps = nan\n", "data_rate_mbps", id="single_run,traffics_mbps"
+    ),
+]
+
+
+@pytest.mark.parametrize("text, name", UNRUN_ENTRY_INI)
+def test_load_config_checks_entries_the_scenario_does_not_run(tmp_path, text, name):
+    ini = tmp_path / "bad.ini"
+    ini.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(f"{ini}:experiment: {name} must")):
+        load_config(ini)
+
+
 # (field overrides, section, name in the message) for configs built in code.
 CODE_OUT_OF_RANGE = [
     ({"coincidence_window_ps": -10}, "analysis", "coincidence_window_ps"),
     ({"ec_inefficiency": 0.5}, "analysis", "error_correction_inefficiency"),
     ({"epsilon": 2.0}, "analysis", "security_epsilon"),
-    ({"qber_drift_per_s": float("nan")}, "analysis", "qber_drift_per_s"),
     ({"channel": {"second_mode_fraction": 1.5}}, "channel", "second_mode_fraction"),
     ({"pair_rate": -1}, "source", "pair_rate"),
     (
@@ -454,6 +481,21 @@ def test_run_experiment_rejects_out_of_range_values(
     with pytest.raises(ValueError, match=re.escape(f"{section}: {name} must")):
         run_experiment(config)
     assert sessions == []
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "channel",
+    [{"alpha_quantum_db_per_km_typo": 1}, {"length_km": 2.0}, {"traffic": "x"}],
+    ids=["typo", "length_km", "traffic"],
+)
+def test_run_experiment_rejects_unknown_channel_key(tmp_path, channel):
+    # A key outside the [channel] schema fails as a ValueError that names
+    # it, before the output directory is made.
+    config = _fast_config(output_dir=str(tmp_path / "out"), channel=channel)
+    (key,) = channel
+    with pytest.raises(ValueError, match=re.escape(f"channel: unknown key {key!r}")):
+        run_experiment(config)
     assert not (tmp_path / "out").exists()
 
 

@@ -42,7 +42,7 @@ def _active(mbps=10.5):
 
 
 @pytest.mark.parametrize("duration_s", [4e-13, 0.0, -1.0, math.inf, math.nan])
-def test_schedule_rejects_less_than_one_tick(monkeypatch, duration_s):
+def test_session_rejects_less_than_one_tick(monkeypatch, duration_s):
     # 0.4 ps rounds to a session of no tick, which has no slice to run:
     # the session refuses before drawing anything.
     drawn = []
@@ -207,16 +207,6 @@ def test_traffic_level_has_no_model_effect():
     assert reports[0].traffic_mbps != reports[1].traffic_mbps
 
 
-def test_polarization_drift_raises_qber():
-    steady = _link(length_km=0.5, pair_rate=3e5)
-    drifting = _link(length_km=0.5, pair_rate=3e5, qber_drift_per_s=0.004)
-    q0 = run_session(steady, 5.0, seed=7)[0].qber
-    q1 = run_session(drifting, 5.0, seed=7)[0].qber
-    # Mean drift over 5 s adds about 0.01 to the error rate.
-    assert q1 > q0
-    assert q1 - q0 == pytest.approx(0.01, abs=0.006)
-
-
 def test_report_invariants():
     report, artifacts = run_session(_link(length_km=2.0), 5.0, seed=9)
     assert report.asymptotic_rate <= report.sifted_rate
@@ -276,19 +266,16 @@ BAD_ANALYSIS = [
     ("ec_inefficiency", float("nan"), "error_correction_inefficiency must be >= 1"),
     ("epsilon", 2.0, "security_epsilon must be in"),
     ("epsilon", 0.0, "security_epsilon must be in"),
-    ("qber_drift_per_s", float("nan"), "qber_drift_per_s must be finite"),
-    ("qber_drift_per_s", float("inf"), "qber_drift_per_s must be finite"),
 ]
 
 
 @pytest.mark.parametrize(
     "name, value, message", BAD_ANALYSIS, ids=[f"{n}={v}" for n, v, _ in BAD_ANALYSIS]
 )
-def test_topology_rejects_bad_analysis_before_any_slice(monkeypatch, name, value, message):
+def test_link_rejects_bad_analysis_before_any_slice(monkeypatch, name, value, message):
     # Each value is refused when the link is built, so no slice is
     # drawn: a session that started would draw and match all its slices
-    # before the key bounds read ec_inefficiency and epsilon, and a nan
-    # drift would turn every correlation flip off.
+    # before the key bounds read ec_inefficiency and epsilon.
     drawn = []
     monkeypatch.setattr(receiver, "sample_pair_tags", lambda *a, **k: drawn.append(a))
     with pytest.raises(ValueError, match=message):

@@ -24,6 +24,7 @@ from fiberqkd.receiver import (
     TagStream,
     add_noise_tags,
     apply_dead_time,
+    merge_streams,
     read_tags,
     write_tags,
 )
@@ -131,30 +132,6 @@ def test_basis_balance():
     assert abs(rectilinear - 0.5 * n) < 4 * sigma
 
 
-def test_drift_raises_error_rate_over_time():
-    # 0.01/s of drift over a 10 s window on a perfect-visibility link gives
-    # a mean matched-basis error of about 0.05, growing front to back.
-    pairs = generate_pair_stream(SourceParams(pair_rate=5e4), 10.0, 7)
-    config = ChannelConfig(length_km=0.0, splitter_quantum_loss_db=0.0)
-    transits = propagate_arm(pairs, config, seed=7, second_order=np.zeros(len(pairs), bool))
-    det = DetectorParams(efficiency=1.0, jitter_sigma_ps=0.0)
-    tags_a, tags_b = detect_pairs(
-        transits, transits, 1.0, det, det, seed=8, qber_drift_per_s=0.01
-    )
-    common, ia, ib = np.intersect1d(tags_a.pair_ids, tags_b.pair_ids, return_indices=True)
-    det_a, det_b = tags_a.detectors[ia], tags_b.detectors[ib]
-    matched = (det_a >> 1) == (det_b >> 1)
-    errors = ((det_a ^ det_b) & 1).astype(bool) & matched
-    times = tags_a.times_ps[ia]
-    first_half = times < 5_000_000_000_000
-    rate_early = errors[matched & first_half].mean() if (matched & first_half).any() else 0
-    rate_late = errors[matched & ~first_half].mean()
-    assert rate_late > rate_early
-    overall = errors[matched].mean()
-    sigma = math.sqrt(0.05 * 0.95 / matched.sum())
-    assert abs(overall - 0.05) < 4 * sigma + 0.005
-
-
 def test_noise_zero_rate_is_identity():
     stream = make_tag_stream([10, 20, 30])
     assert add_noise_tags(stream, [(0.0, TagOrigin.DARK, 1)], 1.0) is stream
@@ -254,6 +231,40 @@ def test_noise_merge_equals_reference_property(tags, noise):
     assert_streams_equal(got, noise_merge_reference(stream, noise, duration_s))
     if all(rate == 0 for rate, _, _ in noise):
         assert got is stream
+
+
+def _merge_side(times, first_id: int) -> TagStream:
+    """A sorted stream whose pair ids number its tags from ``first_id``, so
+    that every tag of two merged sides can be told apart."""
+    times = np.sort(np.array(times, dtype=np.int64))
+    n = times.size
+    return TagStream(
+        times_ps=times,
+        detectors=(np.arange(n) % NUM_DETECTORS).astype(np.int8),
+        origins=np.full(n, first_id % 3, dtype=np.int8),
+        pair_ids=np.arange(first_id, first_id + n, dtype=np.int32),
+        modes=(np.arange(n) % 2).astype(np.int8),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(0, 10), max_size=8),
+    st.lists(st.integers(0, 10), max_size=8),
+    st.sampled_from([-20, -10, -5, 0, 5, 10, 20]),
+)
+@example([5, 7], [20, 30], 0)   # disjoint, first ahead
+@example([20, 30], [5, 7], 0)   # disjoint, second ahead
+@example([3, 5], [5, 9], 0)     # touching at 5, first ahead
+@example([5, 9], [3, 5], 0)     # touching at 5, second ahead
+@example([1, 4, 4, 8], [0, 4, 4, 9], 0)  # interleaved with ties
+@example([], [2, 3], 0)
+@example([2, 3], [], 0)
+def test_merge_streams_equals_concat_and_stable_sort(first, second, shift):
+    first = _merge_side(first, 0)
+    second = _merge_side([t + shift for t in second], 100)
+    want = TagStream.concat([first, second]).sorted_by_time()
+    assert_streams_equal(merge_streams(first, second), want)
 
 
 def test_singles_budget_by_origin():

@@ -188,36 +188,10 @@ def test_sampler_deterministic_under_seed():
     assert not np.array_equal(first[0].times_ps, other[0].times_ps)
 
 
-def test_sampler_drift_raises_error_rate_over_time():
-    # 0.01/s of drift over 10 s on a perfect-visibility link gives a mean
-    # matched-basis error of about 0.05, growing front to back.
-    arm = ChannelConfig(length_km=0.0, splitter_quantum_loss_db=0.0, second_mode_fraction=0.0)
-    detector = DetectorParams(efficiency=1.0, jitter_sigma_ps=0.0)
-    source = SourceParams(pair_rate=5e4, intrinsic_visibility=1.0)
-    tags_a, tags_b = sample_pair_tags(
-        source, arm, arm, detector, 10.0, seed=9, qber_drift_per_s=0.01
-    )
-    ia, ib = _joined(tags_a, tags_b)
-    det_a, det_b = tags_a.detectors[ia], tags_b.detectors[ib]
-    matched = (det_a >> 1) == (det_b >> 1)
-    errors = ((det_a ^ det_b) & 1)[matched]
-    late = tags_a.times_ps[ia][matched] >= 5 * PS_PER_SECOND
-    assert errors[late].mean() > errors[~late].mean()
-    sigma = math.sqrt(0.05 * 0.95 / errors.size)
-    assert abs(errors.mean() - 0.05) < 4 * sigma + 0.005
-
-
 @pytest.mark.parametrize("duration_s", [0.0, -2.0, float("inf")])
 def test_sampler_rejects_bad_duration(duration_s):
     with pytest.raises(ValueError):
         sample_pair_tags(SOURCE, ARM_A, ARM_B, DETECTOR, duration_s, seed=1)
-
-
-@pytest.mark.parametrize("drift", [float("nan"), float("inf"), -float("inf")])
-def test_sampler_rejects_non_finite_drift(drift):
-    # np.clip(nan) would turn every correlation flip off and the QBER down.
-    with pytest.raises(ValueError, match="qber_drift_per_s must be finite"):
-        sample_pair_tags(SOURCE, ARM_A, ARM_B, DETECTOR, 0.01, seed=1, qber_drift_per_s=drift)
 
 
 def test_sampler_rejects_more_pairs_than_int32_ids():
@@ -234,12 +208,11 @@ def test_sampler_rejects_more_pairs_than_int32_ids():
     length_km=st.sampled_from([0.0, 0.25, 4.0]),
     fraction=st.sampled_from([0.0, 0.35, 1.0]),
     rejection_db=st.sampled_from([0.0, 13.0]),
-    drift=st.sampled_from([0.0, 1e3, -1e3]),
     jitter=st.sampled_from([0.0, 500.0]),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_sampler_edge_cases_give_valid_streams(
-    pair_rate, efficiency, length_km, fraction, rejection_db, drift, jitter, seed
+    pair_rate, efficiency, length_km, fraction, rejection_db, jitter, seed
 ):
     arm = ChannelConfig(length_km=length_km, second_mode_fraction=fraction)
     detector = DetectorParams(
@@ -248,9 +221,7 @@ def test_sampler_edge_cases_give_valid_streams(
     source = SourceParams(pair_rate=pair_rate)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        tags_a, tags_b = sample_pair_tags(
-            source, arm, arm, detector, 0.01, seed, qber_drift_per_s=drift
-        )
+        tags_a, tags_b = sample_pair_tags(source, arm, arm, detector, 0.01, seed)
     if pair_rate == 0.0 or efficiency == 0.0:
         assert len(tags_a) == 0 and len(tags_b) == 0
     for tags in (tags_a, tags_b):

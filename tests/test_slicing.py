@@ -267,8 +267,8 @@ def _synthetic_sampler(data, fresh):
     step = st.one_of(st.integers(-2, 2), st.integers(-2, 12))
     steps = st.builds(lambda j, d: 2500 * j + d, step, nudge).filter(lambda t: t >= -REACH_PS)
 
-    def sample(source, config_a, config_b, detector, duration_s, seed, qber_drift_per_s=0.0,
-               *, start_ps=0, first_pair_id=0):
+    def sample(source, config_a, config_b, detector, duration_s, seed, *, start_ps=0,
+               first_pair_id=0):
         stop = start_ps + round(duration_s * PS_PER_SECOND)
         near_ends = st.one_of(steps.map(lambda t: start_ps + t), steps.map(lambda t: stop - t))
         streams = []
