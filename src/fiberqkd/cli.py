@@ -14,6 +14,7 @@ import contextlib
 import csv
 import dataclasses
 import math
+import numbers
 import typing
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -91,9 +92,16 @@ class ExperimentConfig:
             if self.scenario == "traffic_sweep" and not self.traffics_mbps:
                 raise ValueError("empty traffic list for scenario 'traffic_sweep'")
         with _located(path, "channel"):
-            unknown = sorted(set(self.channel) - set(CONFIG_SCHEMA["channel"]))
+            schema = CONFIG_SCHEMA["channel"]
+            unknown = sorted(set(self.channel) - set(schema))
             if unknown:
                 raise ValueError(f"unknown key {unknown[0]!r}")
+            # A code-built dict is not parsed as the INI is, so each value's
+            # type is checked before ChannelConfig compares it.
+            for key, value in self.channel.items():
+                number = numbers.Integral if schema[key] is int else numbers.Real
+                if isinstance(value, bool) or not isinstance(value, number):
+                    raise ValueError(f"{key} must be {schema[key].__name__}, got {value!r}")
             _channel_for(self, 0.0, self.traffic)
         with _located(path, "source"):
             SourceParams(self.pair_rate, self.intrinsic_visibility)

@@ -82,7 +82,9 @@ def sift_tally(records: Coincidences) -> SiftTally:
     records with no matched basis give a zero tally."""
     matched = (records.det_a >> 1) == (records.det_b >> 1)
     differ = (records.det_a ^ records.det_b) & 1
-    return SiftTally(int(np.count_nonzero(matched)), int(np.count_nonzero(differ[matched])))
+    # Count with &, not by compacting ``differ`` through the mixed mask,
+    # which costs a mispredicted branch per record and a copy.
+    return SiftTally(int(np.count_nonzero(matched)), int(np.count_nonzero(differ & matched)))
 
 
 def sift(records: Coincidences, duration_s: float = 0.0) -> SiftTally:

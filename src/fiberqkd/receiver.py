@@ -243,15 +243,23 @@ def sample_pair_tags(
     # Lists, so that each unsorted column goes once its sorted copy exists.
     idx, second, detectors = map(list, _draw_outcomes(rng, source, probs / p_click, n))
     # Both sides' times are gathered before the jitter draws, so that the
-    # n emission ticks are freed before either side's jitter is drawn.
-    times = [emitted[i] for i in idx]
+    # n emission ticks are freed before either side's jitter is drawn. Each
+    # side gathers with its intp indices, which numpy takes uncast, and then
+    # keeps them as the stored int32 pair ids; A's are cast before B
+    # gathers and B's after the ticks are freed, which bounds the peak.
+    times = [emitted[idx[0]]]
+    idx[0] = idx[0].astype(np.int32)
+    times.append(emitted[idx[1]])
     del emitted
+    idx[1] = idx[1].astype(np.int32)
 
     streams = []
     for side in (0, 1):
         side_times = times[side]
         side_times += budget.first_order_delay_ps[side]
-        side_times[second[side]] += budget.mode_delay_ps[side]
+        # By index, not by mask: about 1% of the photons are second-order,
+        # and a sparse mask costs a branch on every element.
+        side_times[np.flatnonzero(second[side])] += budget.mode_delay_ps[side]
         if detector.jitter_sigma_ps > 0:
             jitter = rng.normal(0.0, detector.jitter_sigma_ps, size=side_times.size)
             # The rounded jitter is cast to int64 chunk by chunk inside the
@@ -286,7 +294,7 @@ def sample_pair_tags(
 
 def _draw_outcomes(rng, source, p, n):
     """Per side (A, B): the indices of the clicking pairs among the n
-    events, int32; the mask of second-order photons; and the detectors.
+    events, intp; the mask of second-order photons; and the detectors.
 
     Draws the classes, then basis and outcome on A, basis and outcome on
     B, then the correlation flips. The class arrays and the basis and bit
@@ -297,8 +305,9 @@ def _draw_outcomes(rng, source, p, n):
     click = classes - 3 * mode
     del classes
 
-    idx_a = np.flatnonzero(click != CLICK_B_ONLY).astype(np.int32)
-    idx_b = np.flatnonzero(click != CLICK_A_ONLY).astype(np.int32)
+    # intp, not int32: numpy casts an int32 index to intp on every gather.
+    idx_a = np.flatnonzero(click != CLICK_B_ONLY)
+    idx_b = np.flatnonzero(click != CLICK_A_ONLY)
     basis_a, bit_a = rng.integers(0, 2, size=(2, idx_a.size), dtype=np.int8)
     basis_b, bit_b = rng.integers(0, 2, size=(2, idx_b.size), dtype=np.int8)
     # Pairs seen on both sides come in the same order in idx_a and idx_b,
@@ -309,7 +318,10 @@ def _draw_outcomes(rng, source, p, n):
     correlated = (basis_a[both_a] == basis_b[both_b]) & (mode[idx_a[both_a]] == MODE_GOOD)
     second = (mode[idx_a] == MODE_DEGRADED_A, mode[idx_b] == MODE_DEGRADED_B)
     del mode
-    at_a, at_b = both_a[correlated], both_b[correlated]
+    # By index, not by mask: about half the pairs are correlated, where a
+    # mask's per-element branch mispredicts most.
+    hit = np.flatnonzero(correlated)
+    at_a, at_b = both_a[hit], both_b[hit]
     error_p = matched_basis_error_probability(source.intrinsic_visibility)
     bit_b[at_b] = bit_a[at_a] ^ (rng.random(at_a.size) < error_p)
     return (idx_a, idx_b), second, (2 * basis_a + bit_a, 2 * basis_b + bit_b)

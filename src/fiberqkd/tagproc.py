@@ -309,7 +309,7 @@ def match_coincidences(
     # Integer times make 2*|tb - ta - offset| <= window equivalent to
     # ta + offset - window//2 <= tb <= ta + offset + window//2.
     lower, upper = offset - half, offset + half
-    picks_a, picks_b = [np.empty(0, dtype=np.int32)], [np.empty(0, dtype=np.int32)]
+    picks_a, picks_b = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
     last = -1
     # With no B tag, no A tag has a candidate and no chunk runs.
     for start in range(0, ta.size if tb.size else 0, _MATCH_CHUNK):
@@ -317,19 +317,23 @@ def match_coincidences(
         ia += start
         picks_a.append(ia)
         picks_b.append(ib)
+    # Each side's picks gather its columns as intp, since numpy casts an
+    # int32 index to intp on every gather, and are then cast to the stored
+    # int32. A is done before B's picks are joined, so that only one side's
+    # intp picks are held at a time.
     ia = np.concatenate(picks_a)
     del picks_a
+    times_a, det_a, ia = ta[ia], tags_a.detectors[ia], ia.astype(np.int32)
     ib = np.concatenate(picks_b)
     del picks_b
-    times_a = ta[ia]
-    times_b = tb[ib]
+    times_b, det_b, ib = tb[ib], tags_b.detectors[ib], ib.astype(np.int32)
     delta = times_b - times_a
     delta -= offset
     return Coincidences(
         times_a=times_a,
         times_b=times_b,
-        det_a=tags_a.detectors[ia],
-        det_b=tags_b.detectors[ib],
+        det_a=det_a,
+        det_b=det_b,
         delta=delta,
         idx_a=ia,
         idx_b=ib,
@@ -338,8 +342,8 @@ def match_coincidences(
 
 
 def _match_chunk(ta, tb, lower, upper, last: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """The matched A tags of the chunk ``ta`` as int32 indices into it, their
-    B picks as int32, and the last matched pick, given the last one
+    """The matched A tags of the chunk ``ta`` as intp indices into it, their
+    B picks as intp, and the last matched pick, given the last one
     ``last`` before the chunk. ``tb`` holds at least one tag."""
     pick = _rank(tb, ta + lower)
     # The chunk's first tag may be chained to the previous chunk's last
@@ -353,7 +357,7 @@ def _match_chunk(ta, tb, lower, upper, last: int) -> tuple[np.ndarray, np.ndarra
     matched = np.flatnonzero(_in_window(tb, pick, ta, upper))
     if matched.size:
         last = int(pick[matched[-1]])
-    return matched.astype(np.int32), pick[matched].astype(np.int32), last
+    return matched, pick[matched], last
 
 
 def _in_window(tb, pick, ta, upper) -> np.ndarray:
@@ -409,8 +413,9 @@ def temporal_mode_filter(
             ModeFilterWarning,
             stacklevel=2,
         )
-    keep = np.abs(records.delta) <= reject_half_width_ps
-    return records.take(keep)
+    # By index, not by mask: a mask that keeps most but not all records
+    # costs a mispredicted branch per element in each column it compacts.
+    return records.take(np.flatnonzero(np.abs(records.delta) <= reject_half_width_ps))
 
 
 _COINCIDENCE_FIELDS = ("time_a_ps", "time_b_ps", "det_a", "det_b", "delta_ps")

@@ -499,6 +499,22 @@ def test_run_experiment_rejects_unknown_channel_key(tmp_path, channel):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "channel",
+    [{"splitters_per_arm": "x"}, {"alpha_quantum_db_per_km": "x"}, {"splitters_per_arm": 2.5}],
+    ids=["str_for_int", "str_for_float", "float_for_int"],
+)
+def test_run_experiment_rejects_wrongly_typed_channel_value(tmp_path, channel):
+    # A code-built value of the wrong type fails as a ValueError that names
+    # its key, as an INI value that does not parse does, before the output
+    # directory is made.
+    config = _fast_config(output_dir=str(tmp_path / "out"), channel=channel)
+    (key,) = channel
+    with pytest.raises(ValueError, match=re.escape(f"channel: {key} must be")):
+        run_experiment(config)
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("seed", [5, 6])
 def test_dumps_written_slice_by_slice_equal_whole_writes(tmp_path, monkeypatch, seed):
     # Short slices give the 0.5 s session about 25 slices; the dumps, written

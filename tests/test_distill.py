@@ -2,14 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fiberqkd.distill import (
     KeyRateError,
+    SiftTally,
     asymptotic_rate,
     binary_entropy,
     finite_key_length,
     required_raw_bits,
     sift,
+    sift_tally,
 )
 from fiberqkd.tagproc import Coincidences
 
@@ -64,6 +68,28 @@ def test_sift_qber_matches_brute_force(rng):
                 discordant += 1
     assert len(key) == matched
     assert key.qber == pytest.approx(discordant / matched)
+
+
+def _tally_reference(det_a, det_b) -> SiftTally:
+    """The sift tally, record by record: a matched basis adds a bit, and
+    an error when the outcome bits differ."""
+    bits = errors = 0
+    for a, b in zip(det_a, det_b):
+        if a >> 1 == b >> 1:
+            bits += 1
+            errors += (a & 1) != (b & 1)
+    return SiftTally(bits, errors)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=80))
+@example([])
+@example([(0, 2), (1, 3), (2, 1), (3, 0)])  # no matched basis
+@example([(0, 0), (0, 1), (3, 2), (2, 2), (1, 0)])  # every basis matched
+def test_sift_tally_equals_per_record_loop(pairs):
+    det_a = [a for a, _ in pairs]
+    det_b = [b for _, b in pairs]
+    assert sift_tally(_records(det_a, det_b)) == _tally_reference(det_a, det_b)
 
 
 def test_binary_entropy_boundaries():

@@ -9,6 +9,7 @@ draws of pair tags and noise, concatenated and stably sorted by time, then
 
 import math
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -369,6 +370,31 @@ def test_session_peak_memory_is_set_by_a_slice():
             assert sum(c.tags_a for c in artifacts.slices) > duration_s * 1e5
     assert peaks[90.0] <= 1.1 * peaks[10.0], peaks
     assert max(peaks.values()) <= 24 * 2**20, peaks
+
+
+def test_session_parts_keep_each_columns_declared_width(monkeypatch):
+    # The byte digests cannot see a column that widened. Every part a short
+    # dense_025km-like session hands its sink, in short slices with the
+    # offset found in the first, keeps each column at its declared width.
+    monkeypatch.setattr(netsim, "SLICE_PAIRS", 1 << 15)
+    monkeypatch.setattr(tagproc, "_FINE_SOURCE_TAGS", 1 << 14)
+    link = _link(ChannelConfig(0.25, traffic=ACTIVE), ChannelConfig(0.25, traffic=ACTIVE), 4e5)
+    sink = SessionSink()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ModeFilterWarning)
+        _, artifacts = run_session(link, 0.5, seed=4, sink=sink)
+    tags_a, tags_b, records, filtered = sink.parts
+    assert len(filtered) == len(artifacts.slices) >= 3
+    assert all(len(part) for part in filtered)
+    for part in tags_a + tags_b:
+        for f in fields(TagStream):
+            assert getattr(part, f.name).dtype == f.metadata["dtype"], f.name
+    widths = dict.fromkeys(("times_a", "times_b", "delta"), np.int64)
+    widths |= dict.fromkeys(("det_a", "det_b"), np.int8)
+    widths |= dict.fromkeys(("idx_a", "idx_b"), np.int32)
+    for part in records + filtered:
+        for name, dtype in widths.items():
+            assert getattr(part, name).dtype == dtype, name
 
 
 @pytest.mark.parametrize("counts, reached", [((4, 2, 3), 1), ((6, 1), 0)])

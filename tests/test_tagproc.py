@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import (
     DENSE_ARM,
     DENSE_SOURCE,
+    assert_records_equal,
     column_bytes,
     dump_times,
     make_tag_stream,
@@ -720,6 +721,34 @@ def test_mode_filter_subset_and_idempotent(rng):
     assert len(once) <= len(records)
     assert np.array_equal(once.delta, twice.delta)
     assert np.isin(once.idx_a, records.idx_a).all()
+
+
+@st.composite
+def _filter_case(draw):
+    """(deltas, half width): deltas anywhere within three half widths,
+    and often exactly at or one past either edge."""
+    half = draw(st.integers(0, 3000))
+    edges = st.sampled_from([-half - 1, -half, 0, half, half + 1])
+    reach = 3 * half + 5
+    delta = draw(st.lists(st.one_of(edges, st.integers(-reach, reach)), max_size=60))
+    return delta, half
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_filter_case(), seed=st.integers(0, 2**32 - 1))
+@example(case=([], 0), seed=0)
+@example(case=([], 500), seed=0)
+@example(case=([0, 0, 1, -1, 0], 0), seed=0)  # h = 0
+@example(case=([-500, 0, 499, 500], 500), seed=0)  # all kept, both edges
+@example(case=([-501, 501, 9000, -9000], 500), seed=0)  # all dropped
+def test_mode_filter_equals_mask_take(case, seed):
+    # The filter gathers by index; its reference compacts by mask. All seven
+    # columns and their dtypes must agree.
+    delta, half = case
+    det_a, det_b = np.random.default_rng(seed).integers(0, 4, size=(2, len(delta)))
+    records = _records(delta, det_a, det_b)
+    kept = temporal_mode_filter(records, mode_delay_ps=half + 1, reject_half_width_ps=half)
+    assert_records_equal(kept, records.take(np.abs(records.delta) <= half))
 
 
 def test_mode_filter_rejects_negative_delay():
