@@ -56,10 +56,17 @@ def test_summary_counts_ties_as_no_win():
     assert row["wins"] == 0 and not row["claim_holds"]
 
 
-def test_summary_of_one_pair():
+def test_summary_of_one_pair_claims_nothing():
     row = ab_bench.summarize("wall_s", "lower", [2.0], [1.0])
     assert row["parent"] == {"q1": 2.0, "median": 2.0, "q3": 2.0}
-    assert row["wins"] == 1 and row["claim_holds"]
+    assert row["wins"] == 1 and not row["claim_holds"]
+
+
+def test_summary_needs_ten_pairs():
+    # Nine pairs, every one a clear win: still too few to claim a gain.
+    row = ab_bench.summarize("wall_s", "lower", PARENT[:9], [p - 0.1 for p in PARENT[:9]])
+    assert row["wins"] == 9
+    assert not row["claim_holds"]
 
 
 @pytest.mark.parametrize(

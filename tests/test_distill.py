@@ -55,21 +55,6 @@ def test_sift_concordant_input_qber_zero():
     assert len(key) == 4
 
 
-def test_sift_qber_matches_brute_force(rng):
-    n = 10_000
-    det_a = (2 * rng.integers(0, 2, n) + rng.integers(0, 2, n)).astype(np.int8)
-    det_b = (2 * rng.integers(0, 2, n) + rng.integers(0, 2, n)).astype(np.int8)
-    key = sift(_records(det_a, det_b), duration_s=2.0)
-    matched = discordant = 0
-    for a, b in zip(det_a.tolist(), det_b.tolist()):
-        if (a >> 1) == (b >> 1):
-            matched += 1
-            if (a & 1) != (b & 1):
-                discordant += 1
-    assert len(key) == matched
-    assert key.qber == pytest.approx(discordant / matched)
-
-
 def _tally_reference(det_a, det_b) -> SiftTally:
     """The sift tally, record by record: a matched basis adds a bit, and
     an error when the outcome bits differ."""
@@ -79,6 +64,16 @@ def _tally_reference(det_a, det_b) -> SiftTally:
             bits += 1
             errors += (a & 1) != (b & 1)
     return SiftTally(bits, errors)
+
+
+def test_sift_qber_matches_brute_force(rng):
+    n = 10_000
+    det_a = (2 * rng.integers(0, 2, n) + rng.integers(0, 2, n)).astype(np.int8)
+    det_b = (2 * rng.integers(0, 2, n) + rng.integers(0, 2, n)).astype(np.int8)
+    key = sift(_records(det_a, det_b), duration_s=2.0)
+    reference = _tally_reference(det_a.tolist(), det_b.tolist())
+    assert len(key) == reference.bits
+    assert key.qber == pytest.approx(reference.errors / reference.bits)
 
 
 @settings(max_examples=200, deadline=None)

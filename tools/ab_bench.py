@@ -2,22 +2,23 @@
 
 Run from a checkout:
 
-    python tools/ab_bench.py PARENT CHANGE --workload dense_025km --pairs 10 --seconds 30
+    python tools/ab_bench.py PARENT CHANGE --workload dense_025km --pairs 10
 
 Each pair runs ``perfbench/run.py --trace 0`` once in the PARENT checkout
-and once in the CHANGE checkout, at the same seed (``--seed`` for the
-first pair, one more for each next pair), with the two runs of a pair
-taken in turns: the parent goes first in even pairs and second in odd
-ones, so that neither side always meets a warm or a cold host.
+and once in the CHANGE checkout, at the same seed (``FIRST_SEED`` for the
+first pair, one more for each next pair) and for ``--seconds`` of wall
+time (``BENCHMARK.json``'s ``run_seconds`` by default), with the two runs
+of a pair taken in turns: the parent goes first in even pairs and second
+in odd ones, so that neither side always meets a warm or a cold host.
 
 For each end-to-end metric of ``BENCHMARK.json`` one JSON line is
 printed: every run's value, each side's quartiles and median over the
 pairs, how many pairs the change won (lower or higher is better as
-``BENCHMARK.json`` says), and whether a gain could be claimed: the
-change wins at least nine pairs in
-ten, and its median beats the parent's by more than the parent's
-interquartile range. The exit status is 1 when a run fails or reports a
-failed operation, 0 otherwise. Nothing is written outside what
+``BENCHMARK.json`` says), and whether a gain could be claimed: there are
+at least ten pairs, the change wins at least nine pairs in ten, and its
+median beats the parent's by more than the parent's interquartile range.
+The exit status is 1 when a run fails or reports a failed operation, 0
+otherwise. Nothing is written outside what
 ``perfbench/run.py`` writes and removes in each checkout.
 """
 
@@ -32,8 +33,12 @@ import sys
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
-# A claim needs the change ahead in at least this share of the pairs.
+# A claim needs at least this many pairs, with the change ahead in at
+# least this share of them.
+CLAIM_MIN_PAIRS = 10
 CLAIM_WIN_SHARE = 0.9
+# The seed of the first pair; pair i runs at FIRST_SEED + i.
+FIRST_SEED = 1001
 
 
 def quartiles(values: list[float]) -> dict[str, float]:
@@ -69,7 +74,8 @@ def summarize(name: str, better: str, parent: list[float], change: list[float]) 
         "pairs": len(parent),
         "runs": {"parent": list(parent), "change": list(change)},
         "claim_holds": (
-            wins >= math.ceil(CLAIM_WIN_SHARE * len(parent))
+            len(parent) >= CLAIM_MIN_PAIRS
+            and wins >= math.ceil(CLAIM_WIN_SHARE * len(parent))
             and gain > theirs["q3"] - theirs["q1"]
         ),
     }
@@ -102,22 +108,22 @@ def main(argv=None) -> int:
     parser.add_argument("change", type=Path)
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, required=True)
-    parser.add_argument("--seconds", type=float, required=True)
-    parser.add_argument("--seed", type=int, default=1001)
+    parser.add_argument("--seconds", type=float, help="default: BENCHMARK.json's run_seconds")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
 
     spec = json.loads((REPO / "BENCHMARK.json").read_text(encoding="utf-8"))
+    seconds = spec["run_seconds"] if args.seconds is None else args.seconds
     runs = {"parent": [], "change": []}
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
             checkout = getattr(args, side)
-            result = run_once(checkout, args.workload, args.seed + i, args.seconds)
+            result = run_once(checkout, args.workload, FIRST_SEED + i, seconds)
             runs[side].append(result)
             if result["failed"]:
-                print(f"{checkout}: {result['failed']} failed ops at seed {args.seed + i}",
+                print(f"{checkout}: {result['failed']} failed ops at seed {FIRST_SEED + i}",
                       file=sys.stderr)
     for metric in spec["end_to_end"]:
         name = metric["name"]
