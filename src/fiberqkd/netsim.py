@@ -74,6 +74,68 @@ class Link:
     def __post_init__(self) -> None:
         check_analysis(self.coincidence_window_ps, self.ec_inefficiency, self.epsilon)
 
+    @property
+    def budget(self) -> receiver.LinkBudget:
+        """The fate of one emitted pair, shared by the sampler and the
+        predictor."""
+        return receiver.link_budget(self.arm_a, self.arm_b, self.detector)
+
+    @property
+    def match_window_ps(self) -> int:
+        """The session's coincidence-matching window: wide enough to
+        capture the delayed-mode populations, so that the arrival-time
+        filter, not the matching window, removes them."""
+        jitter_spread = math.hypot(self.detector.jitter_sigma_ps, self.detector.jitter_sigma_ps)
+        return (
+            self.coincidence_window_ps
+            + 2 * max(self.budget.mode_delay_ps)
+            + 8 * round(jitter_spread)
+        )
+
+    def slices(self, duration_s: float) -> list[tuple[int, int, int | None]]:
+        """``(start_ps, stop_ps, frontier)`` of each slice of a session of
+        ``duration_s`` seconds of source time.
+
+        Each slice lasts ``SLICE_PAIRS`` expected clicking pairs, the last
+        one cut at the session's end; a link where no pair can click has one
+        slice. A tag of a later slice lands at most ``_JITTER_REACH`` jitter
+        sigmas before that slice starts, so once a slice is drawn every tag
+        before its frontier, its stop less that reach, is final; the last
+        slice's frontier is None.
+
+        Raises ValueError when the session is shorter than 1 ps or not
+        finite, and when the slices are shorter than the time a tag can wait
+        past its slice's end: the arm and mode delays, the jitter reach on
+        both sides, the offset search span and half the match window.
+        """
+        if not (math.isfinite(duration_s) and round(duration_s * PS_PER_SECOND) >= 1):
+            raise ValueError(f"duration_s must be finite and at least 1 ps, got {duration_s}")
+        budget = self.budget
+        duration_ps = int(round(duration_s * PS_PER_SECOND))
+        click_rate = self.source.pair_rate * float(budget.class_probs.sum())
+        slice_ps = duration_ps
+        if click_rate > 0:
+            slice_ps = min(slice_ps, math.ceil(SLICE_PAIRS / click_rate * PS_PER_SECOND))
+        reach_ps = math.ceil(_JITTER_REACH * self.detector.jitter_sigma_ps)
+        holdover_ps = (
+            max(budget.first_order_delay_ps)
+            + max(budget.mode_delay_ps)
+            + 2 * reach_ps
+            + tagproc.DEFAULT_SEARCH_SPAN_PS
+            + self.match_window_ps // 2
+        )
+        if slice_ps < min(duration_ps, holdover_ps):
+            raise ValueError(
+                f"slices of {slice_ps} ps are shorter than the {holdover_ps} ps a tag "
+                f"can wait past its slice: {click_rate:.3g} clicking pairs/s is too "
+                f"bright for {SLICE_PAIRS} per slice"
+            )
+        plan = []
+        for start in range(0, duration_ps, slice_ps):
+            stop = min(start + slice_ps, duration_ps)
+            plan.append((start, stop, stop - reach_ps if stop < duration_ps else None))
+        return plan
+
 
 @dataclass(frozen=True)
 class SliceCounts:
@@ -123,28 +185,22 @@ def run_session(
     shared link budget, so the cost scales with detected events rather
     than emitted pairs.
 
-    The source is drawn and processed in slices of source time, each
-    ``SLICE_PAIRS`` expected clicking pairs long (the last one cut at the
-    session's end; one slice when no pair can click), so that memory is
-    set by a slice and not by the session. Slice k draws its pair clicks
-    and both sides' noise from ``SeedSequence(seed, spawn_key=(k,))``,
-    and its pairs are numbered on from the slice before, so that a pair
-    tag's ``pair_ids`` entry indexes the session's clicking pairs. A tag
-    of a later slice lands at most ``_JITTER_REACH`` jitter sigmas before
-    that slice starts, so once slice k is drawn every tag before its end
-    less that reach is final; the later tags wait for the next slice,
-    and a tag of a later slice behind the frontier raises
-    ``SliceOrderError``. Final tags go through dead time, which carries
-    each detector's last kept tags on. The matcher holds the final tags of
-    the first slices until A has as many as ``find_offset``'s fine stage
-    reads (or the last slice arrives), recovers the clock offset from
-    them, and from then on takes the final A tags whose window closes
-    before the frontier and carries the rest, and the B tags after the
-    last matched pick, on to the next slice; the mode filter and the
-    sift tallies run on each slice's records. Every tag, record and
-    report equals what the whole-stream stage functions give on the
-    per-slice draws concatenated and stably sorted by time, with offset
-    recovery on the same prefix. Deterministic under ``seed``.
+    The source is drawn and processed in the slices of ``link.slices``, so
+    that memory is set by a slice and not by the session; ``_draw_slice``
+    draws each slice's tags, with its pairs numbered on from the slice
+    before. Once a slice is drawn, the tags before its frontier are final;
+    the later tags wait for the next slice, and a tag of a later slice
+    behind the frontier raises ``SliceOrderError``. Final tags go through
+    dead time, which carries each detector's last kept tags on. The
+    matcher holds the final tags of the first slices until A has as many
+    as ``find_offset``'s fine stage reads (or the last slice arrives),
+    recovers the clock offset from them, and from then on takes the final
+    A tags whose window closes before the frontier and carries the rest,
+    and the B tags after the last matched pick, on to the next slice; the
+    mode filter and the sift tallies run on each slice's records. Every
+    tag, record and report equals what the whole-stream stage functions
+    give on the per-slice draws concatenated and stably sorted by time,
+    with offset recovery on the same prefix. Deterministic under ``seed``.
 
     ``sink``, when given, is called once per slice as ``sink(tags_a,
     tags_b, records, filtered)`` with each side's tags that became final
@@ -153,85 +209,21 @@ def run_session(
     recovery). Concatenated over the slices they are the session's
     streams and records; ``idx_a``/``idx_b`` index the session's streams.
 
-    Raises ValueError, before any slice is drawn, when the session is
-    shorter than 1 ps or not finite, and when the slices are shorter than
-    the time a tag can wait past its slice's end: the arm and mode delays,
-    the jitter reach on both sides, the offset search span and half the
-    match window.
+    Raises the ValueError of ``link.slices`` before any slice is drawn.
     """
-    if not (math.isfinite(duration_s) and round(duration_s * PS_PER_SECOND) >= 1):
-        raise ValueError(f"duration_s must be finite and at least 1 ps, got {duration_s}")
-    det = link.detector
-    budget = receiver.link_budget(link.arm_a, link.arm_b, det)
-    duration_ps = int(round(duration_s * PS_PER_SECOND))
-    click_rate = link.source.pair_rate * float(budget.class_probs.sum())
-    slice_ps = duration_ps
-    if click_rate > 0:
-        slice_ps = min(slice_ps, math.ceil(SLICE_PAIRS / click_rate * PS_PER_SECOND))
-
-    max_delay, min_delay = max(budget.mode_delay_ps), min(budget.mode_delay_ps)
-    jitter_spread = math.hypot(det.jitter_sigma_ps, det.jitter_sigma_ps)
-    # Wide enough to capture the delayed-mode populations so the
-    # arrival-time filter, not the matching window, removes them.
-    match_window = link.coincidence_window_ps + 2 * max_delay + 8 * round(jitter_spread)
+    plan = link.slices(duration_s)
+    min_delay = min(link.budget.mode_delay_ps)
     reject_half_width = link.coincidence_window_ps // 2
-    reach_ps = math.ceil(_JITTER_REACH * det.jitter_sigma_ps)
-    holdover_ps = (
-        max(budget.first_order_delay_ps)
-        + max_delay
-        + 2 * reach_ps
-        + tagproc.DEFAULT_SEARCH_SPAN_PS
-        + match_window // 2
-    )
-    if slice_ps < min(duration_ps, holdover_ps):
-        raise ValueError(
-            f"slices of {slice_ps} ps are shorter than the {holdover_ps} ps a tag "
-            f"can wait past its slice: {click_rate:.3g} clicking pairs/s is too "
-            f"bright for {SLICE_PAIRS} per slice"
-        )
-
-    noise = [
-        (chan.background_rate_per_detector(cfg.traffic), det.dark_cps)
-        for cfg in (link.arm_a, link.arm_b)
-    ]
-    sides = [_SideSlicer(det.dead_time_ns), _SideSlicer(det.dead_time_ns)]
-    matcher = _SliceMatcher(match_window)
+    sides = [_SideSlicer(link.detector.dead_time_ns), _SideSlicer(link.detector.dead_time_ns)]
+    matcher = _SliceMatcher(link.match_window_ps)
     slices = []
     wide_sift = filtered_sift = distill.SiftTally()
     next_id = 0
-    for k, start in enumerate(range(0, duration_ps, slice_ps)):
-        stop = min(start + slice_ps, duration_ps)
-        slice_s = (stop - start) / PS_PER_SECOND
-        s_pairs, *s_noise = np.random.SeedSequence(seed, spawn_key=(k,)).spawn(5)
-        pair_tags = receiver.sample_pair_tags(
-            link.source,
-            link.arm_a,
-            link.arm_b,
-            det,
-            slice_s,
-            s_pairs,
-            start_ps=start,
-            first_pair_id=next_id,
-        )
-        # The last pair drawn clicks on one side at least.
-        ids = [int(tags.pair_ids.max()) for tags in pair_tags if len(tags)]
-        pairs = max(ids) + 1 - next_id if ids else 0
+    for k, (start, stop, frontier) in enumerate(plan):
+        *fresh, pairs = _draw_slice(link, seed, k, start, stop, next_id)
         next_id += pairs
-
-        # Every tag of a later slice lands at or after the frontier.
-        frontier = stop - reach_ps if stop < duration_ps else None
-        # Popped, so that each side's pair tags go once they are merged.
-        pair_tags = list(pair_tags)
-        final = [
-            side.advance(
-                pair_tags.pop(0),
-                [(bg, TagOrigin.BACKGROUND, s_bg), (dark, TagOrigin.DARK, s_dark)],
-                slice_s,
-                start,
-                frontier,
-            )
-            for side, (bg, dark), s_bg, s_dark in zip(sides, noise, s_noise[:2], s_noise[2:])
-        ]
+        # Popped, so that each side's fresh tags go once they are merged.
+        final = [side.advance(fresh.pop(0), frontier) for side in sides]
 
         records = matcher.feed(*final, frontier)
         filtered = None
@@ -261,8 +253,7 @@ def run_session(
     )
     n_records = artifacts.records
     report = _key_rate_report(
-        link.arm_a,
-        link.arm_b,
+        link,
         sifted_bits=filtered_sift.bits,
         sifted_rate=filtered_sift.bits / duration_s,
         qber=filtered_sift.qber,
@@ -270,10 +261,45 @@ def run_session(
             sum(counts.retained for counts in slices) / n_records if n_records else 0.0
         ),
         offset_ps=matcher.offset_ps,
-        ec_inefficiency=link.ec_inefficiency,
-        epsilon=link.epsilon,
     )
     return report, artifacts
+
+
+def _draw_slice(
+    link: Link, seed: int, k: int, start_ps: int, stop_ps: int, first_pair_id: int
+) -> tuple[TagStream, TagStream, int]:
+    """Slice k's fresh tags on A and on B, and the number of clicking
+    pairs it drew, numbered from ``first_pair_id``.
+
+    Slice k draws from ``SeedSequence(seed, spawn_key=(k,))``: its first
+    child draws the pair clicks over [start_ps, stop_ps), the next two
+    the background counts of A and B and the last two their dark counts.
+    Each side's tags are sorted by time; at equal times pair tags come
+    first, then background, then dark counts.
+    """
+    duration_s = (stop_ps - start_ps) / PS_PER_SECOND
+    s_pairs, *s_noise = np.random.SeedSequence(seed, spawn_key=(k,)).spawn(5)
+    *pair_tags, pairs = receiver.sample_pair_tags(
+        link.source,
+        link.arm_a,
+        link.arm_b,
+        link.detector,
+        duration_s,
+        s_pairs,
+        start_ps=start_ps,
+        first_pair_id=first_pair_id,
+    )
+    fresh = []
+    for cfg, s_bg, s_dark in zip((link.arm_a, link.arm_b), s_noise[:2], s_noise[2:]):
+        noise = [
+            (chan.background_rate_per_detector(cfg.traffic), TagOrigin.BACKGROUND, s_bg),
+            (link.detector.dark_cps, TagOrigin.DARK, s_dark),
+        ]
+        # Popped, so that each side's pair tags go once the noise is merged.
+        fresh.append(
+            receiver.add_noise_tags(pair_tags.pop(0), noise, duration_s, start_ps=start_ps)
+        )
+    return fresh[0], fresh[1], pairs
 
 
 class _SideSlicer:
@@ -295,16 +321,14 @@ class _SideSlicer:
         self.carry = TagStream.empty()
         self.frontier: int | None = None
 
-    def advance(self, pairs: TagStream, noise, duration_s: float, start_ps: int, frontier):
-        """This side's tags of a slice that starts at ``start_ps``: its pair
-        tags ``pairs`` and the ``noise`` processes of ``add_noise_tags``
-        merged with the waiting tags, then the tags before ``frontier`` (all
-        of them when it is None), after dead time."""
+    def advance(self, fresh: TagStream, frontier):
+        """This side's tags of a slice: its ``fresh`` tags merged with the
+        waiting ones, then the tags before ``frontier`` (all of them when it
+        is None), after dead time."""
         # The waiting tags come from earlier slices, so they go first at
-        # equal times, as the pair tags go before the noise.
-        stream = receiver.merge_streams(self.waiting, pairs)
-        del pairs
-        stream = receiver.add_noise_tags(stream, noise, duration_s, start_ps=start_ps)
+        # equal times.
+        stream = receiver.merge_streams(self.waiting, fresh)
+        del fresh
         if self.frontier is not None and len(stream) and stream.times_ps[0] < self.frontier:
             raise SliceOrderError(
                 f"a tag at {stream.times_ps[0]} ps lands behind the tags processed up "
@@ -403,9 +427,11 @@ def predict_key_rates(
     jitter-limited capture of the retained window, accidental coincidences
     from the singles rates, and the error-rate mix of correlated pairs
     (error (1-V)/2), depolarized-mode leakage and accidentals (error 1/2).
-    Dead-time losses are neglected.
+    Dead-time losses are neglected. The arguments describe a ``Link``, whose
+    checks they pass first.
     """
     det = detector if detector is not None else DetectorParams()
+    link = Link(config_a, config_b, source, det, coincidence_window_ps, ec_inefficiency, epsilon)
     reject_half_width = coincidence_window_ps // 2
     sigma = math.hypot(det.jitter_sigma_ps, det.jitter_sigma_ps)
 
@@ -416,7 +442,7 @@ def predict_key_rates(
             (-reject_half_width - center_ps) / sigma
         )
 
-    budget = receiver.link_budget(config_a, config_b, det)
+    budget = link.budget
     p = budget.class_probs
     delay_a, delay_b = budget.mode_delay_ps
     rate = source.pair_rate
@@ -447,33 +473,30 @@ def predict_key_rates(
     all_true_pairs = rate * p[:, CLICK_BOTH].sum()
     retained = (good_rate + degraded_rate) / all_true_pairs if all_true_pairs else 0.0
     return _key_rate_report(
-        config_a,
-        config_b,
+        link,
         sifted_bits=max(1, int(round(sifted_rate * duration_s))),
         sifted_rate=sifted_rate,
         qber=qber,
         retained_fraction=retained,
         offset_ps=0,
-        ec_inefficiency=ec_inefficiency,
-        epsilon=epsilon,
     )
 
 
 def _key_rate_report(
-    config_a: ChannelConfig,
-    config_b: ChannelConfig,
+    link: Link,
     *,
     sifted_bits: int,
     sifted_rate: float,
     qber: float,
     retained_fraction: float,
     offset_ps: int,
-    ec_inefficiency: float,
-    epsilon: float,
 ) -> KeyRateReport:
-    """Report for one operating point of a two-arm link: arm length and
-    traffic level averaged over the arms, asymptotic and finite-size key
-    figures, and ``n_required`` = inf where no key size gives a key."""
+    """Report for one operating point of ``link``: arm length and traffic
+    level averaged over the arms, asymptotic and finite-size key figures
+    at the link's analysis settings, and ``n_required`` = inf where no key
+    size gives a key."""
+    config_a, config_b = link.arm_a, link.arm_b
+    ec_inefficiency, epsilon = link.ec_inefficiency, link.epsilon
     try:
         n_required = float(distill.required_raw_bits(qber, ec_inefficiency, epsilon))
     except distill.KeyRateError:

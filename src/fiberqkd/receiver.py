@@ -194,9 +194,10 @@ def sample_pair_tags(
     *,
     start_ps: int = 0,
     first_pair_id: int = 0,
-) -> tuple[TagStream, TagStream]:
+) -> tuple[TagStream, TagStream, int]:
     """Draw both parties' clicks of the pairs emitted over [start, start +
-    duration), sampling only pairs that click.
+    duration), sampling only pairs that click, and return them with the
+    number of clicking pairs drawn.
 
     Pairs are emitted as a Poisson process at ``source.pair_rate`` and each
     falls independently into one class of ``link_budget``, so the pairs
@@ -209,10 +210,11 @@ def sample_pair_tags(
     and matching bases has outcomes correlated with contrast
     ``source.intrinsic_visibility``; every other outcome is uniform.
 
-    ``run_session`` calls this once per slice of a session, with the
-    slice's start tick ``start_ps`` and its first pair id. The clicking
-    pairs are numbered ``first_pair_id`` onward in emission order, and a
-    tag's ``pair_ids`` entry is its pair's number, shared by both sides;
+    A session calls this once per slice, with the slice's start tick
+    ``start_ps`` and its first pair id, and numbers the next slice's pairs
+    on from the returned count. The clicking pairs are numbered
+    ``first_pair_id`` onward in emission order, and a tag's ``pair_ids``
+    entry is its pair's number, shared by both sides;
     ``modes`` is 1 for a second-order photon. Each side's tags are sorted
     by one stable argsort of their arrival times, so pairs at equal times
     keep emission order. Every drawn array is as long as the drawn count,
@@ -235,7 +237,7 @@ def sample_pair_tags(
             f"the {MAX_TAGS} int32 pair ids"
         )
     if n == 0:
-        return TagStream.empty(), TagStream.empty()
+        return TagStream.empty(), TagStream.empty(), 0
     emitted = rng.integers(
         start_ps, start_ps + int(round(duration_s * PS_PER_SECOND)), size=n, dtype=np.int64
     )
@@ -289,7 +291,7 @@ def sample_pair_tags(
                 modes=second[side].view(np.int8),
             )
         )
-    return streams[0], streams[1]
+    return streams[0], streams[1], n
 
 
 def _draw_outcomes(rng, source, p, n):

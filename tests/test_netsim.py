@@ -94,32 +94,30 @@ def test_session_streams_equal_oracle_chain(monkeypatch, seed):
     sink = SessionSink()
     with pytest.warns(ModeFilterWarning):
         run_session(link, duration_s, seed, sink=sink)
-    # Per slice and side, one merge of both noise processes, then dead time.
-    # Session streams hardly ever hold equal times, so the tie order
-    # (stream, background, dark) is pinned here by the order of the
-    # processes passed to the merge.
+    # Per slice, one merge of both noise processes on each side, then dead
+    # time on each side. Session streams hardly ever hold equal times, so
+    # the tie order (stream, background, dark) is pinned here by the order
+    # of the processes passed to the merge.
     detector = link.detector
     arm = link.arm_a
-    click_rate = link.source.pair_rate * receiver.link_budget(arm, arm, detector).class_probs.sum()
-    slice_ps = math.ceil(netsim.SLICE_PAIRS / click_rate * 1e12)
-    duration_ps = round(duration_s * 1e12)
-    starts = range(0, duration_ps, slice_ps)
-    assert len(starts) >= 5
-    assert [name for name, _ in calls] == ["add_noise_tags", "apply_dead_time"] * 2 * len(starts)
-    for _, (noise, _) in calls[::2]:
+    plan = link.slices(duration_s)
+    assert len(plan) >= 5
+    per_slice = ["add_noise_tags"] * 2 + ["apply_dead_time"] * 2
+    assert [name for name, _ in calls] == per_slice * len(plan)
+    for _, (noise, _) in (call for call in calls if call[0] == "add_noise_tags"):
         assert [origin for _, origin, _ in noise] == [TagOrigin.BACKGROUND, TagOrigin.DARK]
 
     background = background_rate_per_detector(arm.traffic)
     assert background > 0
     merged = ([], [])
     next_id = 0
-    for k, start in enumerate(starts):
-        slice_s = (min(start + slice_ps, duration_ps) - start) / 1e12
+    for k, (start, stop, _) in enumerate(plan):
+        slice_s = (stop - start) / 1e12
         s_pairs, *s_noise = np.random.SeedSequence(seed, spawn_key=(k,)).spawn(5)
-        pair_tags = sample_pair_tags(
+        *pair_tags, pairs = sample_pair_tags(
             link.source, arm, arm, detector, slice_s, s_pairs, start_ps=start, first_pair_id=next_id
         )
-        next_id = 1 + max(int(tags.pair_ids.max()) for tags in pair_tags)
+        next_id += pairs
         for side, tags in enumerate(pair_tags):
             noise = [
                 (background, TagOrigin.BACKGROUND, s_noise[side]),
@@ -262,6 +260,7 @@ def test_session_rejects_more_tags_than_int32_indices_reach(monkeypatch):
 
 BAD_ANALYSIS = [
     ("coincidence_window_ps", -10, "coincidence_window_ps must be >= 0"),
+    ("coincidence_window_ps", -1, "coincidence_window_ps must be >= 0"),
     ("ec_inefficiency", 0.5, "error_correction_inefficiency must be >= 1"),
     ("ec_inefficiency", float("nan"), "error_correction_inefficiency must be >= 1"),
     ("epsilon", 2.0, "security_epsilon must be in"),
@@ -275,9 +274,13 @@ BAD_ANALYSIS = [
 def test_link_rejects_bad_analysis_before_any_slice(monkeypatch, name, value, message):
     # Each value is refused when the link is built, so no slice is
     # drawn: a session that started would draw and match all its slices
-    # before the key bounds read ec_inefficiency and epsilon.
+    # before the key bounds read ec_inefficiency and epsilon. The
+    # predictor builds the same link from its arguments and refuses too.
     drawn = []
     monkeypatch.setattr(receiver, "sample_pair_tags", lambda *a, **k: drawn.append(a))
     with pytest.raises(ValueError, match=message):
         run_session(_link(**{name: value}), 1.0, seed=3)
     assert drawn == []
+    link = _link()
+    with pytest.raises(ValueError, match=message):
+        predict_key_rates(link.source, link.arm_a, link.arm_b, **{name: value})

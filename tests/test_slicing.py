@@ -25,16 +25,11 @@ from conftest import (
     traced_peak,
 )
 from fiberqkd import netsim, receiver, tagproc
-from fiberqkd.channel import (
-    ChannelConfig,
-    ClassicalTraffic,
-    TrafficDirection,
-    background_rate_per_detector,
-)
+from fiberqkd.channel import ChannelConfig, ClassicalTraffic, TrafficDirection
 from fiberqkd.distill import sift, sift_tally
 from fiberqkd.netsim import Link, SliceOrderError, run_session
 from fiberqkd.pairgen import PS_PER_SECOND, SourceParams
-from fiberqkd.receiver import DetectorParams, TagOrigin, TagStream
+from fiberqkd.receiver import DetectorParams, TagStream
 from fiberqkd.tagproc import ModeFilterWarning
 
 ACTIVE = ClassicalTraffic(direction=TrafficDirection.COUNTER_PROPAGATING)
@@ -46,54 +41,15 @@ def _link(arm_a, arm_b, pair_rate=4e5, detector=None):
     return Link(arm_a, arm_b, source, detector or DetectorParams())
 
 
-def _slice_ps(link, duration_s) -> int:
-    budget = receiver.link_budget(link.arm_a, link.arm_b, link.detector)
-    click_rate = link.source.pair_rate * budget.class_probs.sum()
-    duration_ps = round(duration_s * PS_PER_SECOND)
-    if click_rate == 0:
-        return duration_ps
-    return min(duration_ps, math.ceil(netsim.SLICE_PAIRS / click_rate * PS_PER_SECOND))
-
-
-def _slices(link, duration_s):
-    """(start, stop, frontier) of each slice; the frontier is None for the
-    last slice."""
-    duration_ps = round(duration_s * PS_PER_SECOND)
-    slice_ps = _slice_ps(link, duration_s)
-    reach = math.ceil(netsim._JITTER_REACH * link.detector.jitter_sigma_ps)
-    for start in range(0, duration_ps, slice_ps):
-        stop = min(start + slice_ps, duration_ps)
-        yield start, stop, stop - reach if stop < duration_ps else None
-
-
 def _drawn_slices(link, duration_s, seed):
-    """Each slice's fresh tags per side, drawn from the slice's seeds as
-    the session draws them: its pair tags, then both noise processes."""
-    det = link.detector
+    """Each slice's fresh tags per side, drawn as the session draws them."""
     fresh = ([], [])
     next_id = 0
-    for k, (start, stop, _) in enumerate(_slices(link, duration_s)):
-        slice_s = (stop - start) / PS_PER_SECOND
-        s_pairs, *s_noise = np.random.SeedSequence(seed, spawn_key=(k,)).spawn(5)
-        pair_tags = receiver.sample_pair_tags(
-            link.source,
-            link.arm_a,
-            link.arm_b,
-            det,
-            slice_s,
-            s_pairs,
-            start_ps=start,
-            first_pair_id=next_id,
-        )
-        next_id = 1 + max(
-            [next_id - 1] + [int(tags.pair_ids.max()) for tags in pair_tags if len(tags)]
-        )
-        for side, (tags, cfg) in enumerate(zip(pair_tags, (link.arm_a, link.arm_b))):
-            noise = [
-                (background_rate_per_detector(cfg.traffic), TagOrigin.BACKGROUND, s_noise[side]),
-                (det.dark_cps, TagOrigin.DARK, s_noise[2 + side]),
-            ]
-            fresh[side].append(receiver.add_noise_tags(tags, noise, slice_s, start_ps=start))
+    for k, (start, stop, _) in enumerate(link.slices(duration_s)):
+        *tags, pairs = netsim._draw_slice(link, seed, k, start, stop, next_id)
+        next_id += pairs
+        for held, side in zip(fresh, tags):
+            held.append(side)
     return fresh
 
 
@@ -109,7 +65,7 @@ def _whole_stream(link, duration_s, fresh, offset=None):
         # Offset recovery reads the tags before the first frontier that has
         # at least find_offset's fine-stage count of A tags before it.
         prefix = streams
-        for _, _, frontier in _slices(link, duration_s):
+        for _, _, frontier in link.slices(duration_s):
             if frontier is not None and np.count_nonzero(
                 streams[0].times_ps < frontier
             ) >= tagproc._FINE_SOURCE_TAGS:
@@ -117,12 +73,7 @@ def _whole_stream(link, duration_s, fresh, offset=None):
                 break
         offset = tagproc.find_offset(*prefix)
     delays = (link.arm_a.mode_delay_ps, link.arm_b.mode_delay_ps)
-    window = (
-        link.coincidence_window_ps
-        + 2 * max(delays)
-        + 8 * round(math.hypot(det.jitter_sigma_ps, det.jitter_sigma_ps))
-    )
-    records = tagproc.match_coincidences(*streams, offset, window)
+    records = tagproc.match_coincidences(*streams, offset, link.match_window_ps)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ModeFilterWarning)
         filtered = tagproc.temporal_mode_filter(
@@ -149,7 +100,7 @@ def _assert_session_equals_whole_stream(link, duration_s, seed, fresh, offset=No
     assert report.retained_fraction == len(filtered) / len(records)
     assert artifacts.wide_sift == sift_tally(records)
     assert artifacts.filtered_sift == sift_tally(filtered)
-    assert [c.start_ps for c in artifacts.slices] == [s for s, _, _ in _slices(link, duration_s)]
+    assert [c.start_ps for c in artifacts.slices] == [s for s, _, _ in link.slices(duration_s)]
     assert sink.calls == len(artifacts.slices)
     assert sum(c.tags_a for c in artifacts.slices) == len(streams[0])
     assert sum(c.records for c in artifacts.slices) == len(records)
@@ -247,6 +198,11 @@ QUIET_ARM = ChannelConfig(length_km=0.0, traffic=DARK)
 REACH_PS = math.ceil(netsim._JITTER_REACH * DetectorParams().jitter_sigma_ps)
 
 
+def _slice_ps(link) -> int:
+    """The length of a whole slice of ``link``'s sessions."""
+    return link.slices(1.0)[0][1]
+
+
 def _quiet_link(dead_time_ns):
     detector = DetectorParams(dark_cps=0.0, dead_time_ns=dead_time_ns)
     budget = receiver.link_budget(QUIET_ARM, QUIET_ARM, detector)
@@ -289,7 +245,8 @@ def _synthetic_sampler(data, fresh):
             )
         for held, tags in zip(fresh, streams):
             held.append(tags)
-        return tuple(streams)
+        # Each tag is a pair of its own.
+        return (*streams, sum(map(len, streams)))
 
     return sample
 
@@ -309,7 +266,7 @@ def test_slice_boundaries_equal_whole_stream(data, n_slices, last_fraction, dead
     link = _quiet_link(dead_time_ns)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(netsim, "SLICE_PAIRS", 1)
-        slice_ps = _slice_ps(link, 1.0)
+        slice_ps = _slice_ps(link)
         duration_ps = (n_slices - 1) * slice_ps + max(1, round(last_fraction * slice_ps))
         duration_s = duration_ps / PS_PER_SECOND
         fresh = ([], [])
@@ -332,11 +289,11 @@ def test_tag_behind_the_processed_frontier_raises(monkeypatch):
     late = []
 
     def far_jitter(*args, start_ps=0, **kwargs):
-        tags_a, tags_b = sample(*args, start_ps=start_ps, **kwargs)
+        tags_a, tags_b, pairs = sample(*args, start_ps=start_ps, **kwargs)
         if start_ps > 0 and len(tags_a):
             tags_a.times_ps[0] = start_ps - reach - 1
             late.append(start_ps)
-        return tags_a, tags_b
+        return tags_a, tags_b, pairs
 
     monkeypatch.setattr(receiver, "sample_pair_tags", far_jitter)
     link = _link(DENSE_ARM, DENSE_ARM, DENSE_SOURCE.pair_rate)
@@ -345,15 +302,34 @@ def test_tag_behind_the_processed_frontier_raises(monkeypatch):
     assert len(late) == 1
 
 
-def test_slice_shorter_than_the_holdover_raises(monkeypatch):
-    # At 1e12 pairs/s a slice of 2^19 clicking pairs lasts about 1 us, less
-    # than the time a tag can wait past its slice (the 50 us offset search
-    # span alone): the session refuses before drawing anything.
+def test_link_slices_follow_the_slice_plan(monkeypatch):
+    # The plan from its definition: slices of SLICE_PAIRS expected clicking
+    # pairs, the last one cut at the session's end, each with its frontier
+    # ten jitter sigmas before its stop and none on the last.
+    link = _link(DENSE_ARM, DENSE_ARM, DENSE_SOURCE.pair_rate)
+    click_rate = DENSE_SOURCE.pair_rate * receiver.link_budget(
+        DENSE_ARM, DENSE_ARM, link.detector
+    ).class_probs.sum()
+    slice_ps = math.ceil(netsim.SLICE_PAIRS / click_rate * 1e12)
+    reach = math.ceil(10 * link.detector.jitter_sigma_ps)
+    for duration_ps in (slice_ps // 3, slice_ps, 3 * slice_ps, 3 * slice_ps + 1234):
+        n = -(-duration_ps // slice_ps)
+        stops = [slice_ps * (k + 1) for k in range(n - 1)] + [duration_ps]
+        frontiers = [stop - reach for stop in stops[:-1]] + [None]
+        want = list(zip([slice_ps * k for k in range(n)], stops, frontiers))
+        assert link.slices(duration_ps / 1e12) == want
+    # No pair can click: the whole session is one slice.
+    dead = _link(DENSE_ARM, DENSE_ARM, 4e5, DetectorParams(efficiency=0.0))
+    assert dead.slices(100.0) == [(0, 100 * 10**12, None)]
+    # Refused before any draw: a session under 1 ps, and slices shorter
+    # than the time a tag can wait past them. At 1e12 pairs/s a slice lasts
+    # about 1 us, less than the 50 us offset search span alone.
     drawn = []
     monkeypatch.setattr(receiver, "sample_pair_tags", lambda *a, **k: drawn.append(a))
-    link = _link(DENSE_ARM, DENSE_ARM, pair_rate=1e12)
+    with pytest.raises(ValueError, match="duration_s"):
+        run_session(link, 4e-13, seed=1)
     with pytest.raises(ValueError, match="shorter than the .* ps a tag can wait"):
-        run_session(link, 1e-3, seed=1)
+        run_session(_link(DENSE_ARM, DENSE_ARM, pair_rate=1e12), 1e-3, seed=1)
     assert drawn == []
 
 
@@ -406,14 +382,14 @@ def test_offset_recovered_in_the_slice_where_a_reaches_the_prefix(monkeypatch, c
     monkeypatch.setattr(netsim, "SLICE_PAIRS", 1)
     monkeypatch.setattr(tagproc, "_FINE_SOURCE_TAGS", 6)
     link = _quiet_link(dead_time_ns=0.0)
-    slice_ps = _slice_ps(link, 1.0)
+    slice_ps = _slice_ps(link)
 
     def sample(*args, start_ps=0, first_pair_id=0, **kwargs):
         n = counts[start_ps // slice_ps]
         times = start_ps + slice_ps // 2 + 100_000 * np.arange(n, dtype=np.int64)
         ids = np.arange(first_pair_id, first_pair_id + n, dtype=np.int32)
         zeros = np.zeros(n, dtype=np.int8)
-        return tuple(TagStream(times.copy(), zeros, zeros, ids, zeros) for _ in "AB")
+        return (*(TagStream(times.copy(), zeros, zeros, ids, zeros) for _ in "AB"), n)
 
     searched = []
 

@@ -19,6 +19,7 @@ from conftest import (
 from fiberqkd import receiver, tagproc
 from fiberqkd.channel import ChannelConfig
 from fiberqkd.distill import sift
+from fiberqkd.netsim import Link
 from fiberqkd.pairgen import SourceParams
 from fiberqkd.receiver import DetectorParams, sample_pair_tags
 from fiberqkd.tagproc import (
@@ -157,7 +158,7 @@ def test_rank_equals_searchsorted_property(chunk, case):
 def test_rank_equals_searchsorted_at_dense_size():
     # The matcher's window starts at about 0.22 M tags per side: keys and B
     # times interleave, and blocks of keys end inside runs of B times.
-    tags_a, tags_b = sample_pair_tags(
+    tags_a, tags_b, _ = sample_pair_tags(
         DENSE_SOURCE, DENSE_ARM, DENSE_ARM, DetectorParams(), 2.0, seed=3
     )
     tb = tags_b.times_ps
@@ -397,7 +398,7 @@ def test_find_offset_peak_memory_bounded_by_pairing_chunks():
     # so the scratch beyond the counts and one chunk's bincount stays
     # below one int64 array of the first coarse step's pairings.
     arm = ChannelConfig(length_km=4.0)
-    tags_a, tags_b = sample_pair_tags(
+    tags_a, tags_b, _ = sample_pair_tags(
         SourceParams(pair_rate=4e6), arm, arm, DetectorParams(efficiency=1.0), 1.0, seed=3
     )
     offset, peak = traced_peak(find_offset, tags_a, tags_b)
@@ -600,11 +601,11 @@ def test_match_dense_chains_in_chunks_equal_oracle(monkeypatch, rng, chunk):
 def test_match_chunks_equal_one_chunk_at_dense_size(monkeypatch):
     # About 0.22 M tags per side in the session's match window: the default
     # chunk walks A in several pieces, which must pick what one piece does.
-    tags_a, tags_b = sample_pair_tags(
+    tags_a, tags_b, _ = sample_pair_tags(
         DENSE_SOURCE, DENSE_ARM, DENSE_ARM, DetectorParams(), 2.0, seed=3
     )
     assert len(tags_a) > 3 * tagproc._MATCH_CHUNK
-    window = 2000 + 2 * DENSE_ARM.mode_delay_ps + 8 * round(500 * math.sqrt(2))
+    window = Link(DENSE_ARM, DENSE_ARM, DENSE_SOURCE).match_window_ps
     chunked = match_coincidences(tags_a, tags_b, 0, window)
     monkeypatch.setattr(tagproc, "_MATCH_CHUNK", len(tags_a))
     whole = match_coincidences(tags_a, tags_b, 0, window)
@@ -662,7 +663,7 @@ def test_match_capture_fraction_matches_erf(rng):
 def test_match_peak_memory_beyond_records():
     # The first candidates are found a chunk of A at a time; the scratch on top
     # of the returned records must stay within half of A's times.
-    tags_a, tags_b = sample_pair_tags(
+    tags_a, tags_b, _ = sample_pair_tags(
         DENSE_SOURCE, DENSE_ARM, DENSE_ARM, DetectorParams(), 2.0, seed=3
     )
     records, peak = traced_peak(match_coincidences, tags_a, tags_b, 0)
