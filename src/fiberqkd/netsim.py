@@ -6,7 +6,7 @@ time, and the closed-form rate predictor for the same link.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -92,6 +92,13 @@ class Link:
             + 8 * round(jitter_spread)
         )
 
+    @property
+    def mode_filter_ambiguous(self) -> bool:
+        """Whether the shorter mode delay lies within the retained window,
+        where the mode filter cannot separate the delayed mode from the
+        prompt one (``tagproc.temporal_mode_filter`` warns there)."""
+        return min(self.budget.mode_delay_ps) <= self.coincidence_window_ps // 2
+
     def slices(self, duration_s: float) -> list[tuple[int, int, int | None]]:
         """``(start_ps, stop_ps, frontier)`` of each slice of a session of
         ``duration_s`` seconds of source time.
@@ -138,36 +145,26 @@ class Link:
 
 
 @dataclass(frozen=True)
-class SliceCounts:
-    """One slice of a session: when it starts, how many clicking pairs it
-    drew, and what became final in its step. Tags wait past the slice end
-    that drew them (see ``run_session``), so a step's tags and records are
-    not exactly those of its source time."""
-
-    start_ps: int
-    pairs: int
-    tags_a: int      # after dead time
-    tags_b: int
-    records: int     # wide-window matches, pre mode filter
-    retained: int    # of which the mode filter kept
-
-
-@dataclass(eq=False)
 class SessionArtifacts:
-    """Per-session counts kept alongside the key-rate report: one
-    ``SliceCounts`` per slice, and the sift tallies of the wide-window
-    matches before the mode filter and of those it retained. No tag or
-    record array is kept; ``run_session``'s ``sink`` receives them."""
+    """A session's totals, kept alongside its key-rate report, which adds
+    up field by field as ``distill.SiftTally`` does: the clicking pairs
+    drawn, each side's tags after dead time, the wide-window matches
+    before the mode filter and those it retained, and the sift tallies of
+    both. No tag or record array and no per-slice figure is kept;
+    ``run_session``'s ``sink`` receives them slice by slice."""
 
-    slices: list[SliceCounts]
-    wide_sift: distill.SiftTally
-    filtered_sift: distill.SiftTally
-    mode_filter_ambiguous: bool
+    pairs: int = 0
+    tags_a: int = 0
+    tags_b: int = 0
+    records: int = 0
+    retained: int = 0
+    wide_sift: distill.SiftTally = distill.SiftTally()
+    filtered_sift: distill.SiftTally = distill.SiftTally()
 
-    @property
-    def records(self) -> int:
-        """Wide-window matches of the session."""
-        return sum(counts.records for counts in self.slices)
+    def __add__(self, other: "SessionArtifacts") -> "SessionArtifacts":
+        return SessionArtifacts(
+            *(getattr(self, f.name) + getattr(other, f.name) for f in fields(self))
+        )
 
 
 def run_session(
@@ -187,20 +184,25 @@ def run_session(
 
     The source is drawn and processed in the slices of ``link.slices``, so
     that memory is set by a slice and not by the session; ``_draw_slice``
-    draws each slice's tags, with its pairs numbered on from the slice
-    before. Once a slice is drawn, the tags before its frontier are final;
-    the later tags wait for the next slice, and a tag of a later slice
-    behind the frontier raises ``SliceOrderError``. Final tags go through
-    dead time, which carries each detector's last kept tags on. The
-    matcher holds the final tags of the first slices until A has as many
-    as ``find_offset``'s fine stage reads (or the last slice arrives),
-    recovers the clock offset from them, and from then on takes the final
-    A tags whose window closes before the frontier and carries the rest,
-    and the B tags after the last matched pick, on to the next slice; the
-    mode filter and the sift tallies run on each slice's records. Every
-    tag, record and report equals what the whole-stream stage functions
-    give on the per-slice draws concatenated and stably sorted by time,
-    with offset recovery on the same prefix. Deterministic under ``seed``.
+    draws each slice's tags, with its pairs numbered on from the pairs the
+    slices before drew. Once a slice is drawn, the tags before its
+    frontier are final; the later tags wait for the next slice, and a tag
+    of a later slice behind the frontier raises ``SliceOrderError``. Final
+    tags go through dead time, which carries each detector's last kept
+    tags on. The matcher holds the final tags of the first slices until A
+    has as many as ``find_offset``'s fine stage reads (or the last slice
+    arrives), recovers the clock offset from them, and from then on takes
+    the final A tags whose window closes before the frontier and carries
+    the rest, and the B tags after the last matched pick, on to the next
+    slice; the mode filter and the sift tallies run on each slice's
+    records. Every tag, record and report equals what the whole-stream
+    stage functions give on the per-slice draws concatenated and stably
+    sorted by time, with offset recovery on the same prefix. Deterministic
+    under ``seed``.
+
+    Returns the key-rate report and the session's ``SessionArtifacts``
+    totals, to which each slice adds one step; the report's retained
+    fraction is ``retained / records`` of the totals (0 with no records).
 
     ``sink``, when given, is called once per slice as ``sink(tags_a,
     tags_b, records, filtered)`` with each side's tags that became final
@@ -208,6 +210,7 @@ def run_session(
     filtered records matched in it (None while the tags wait for offset
     recovery). Concatenated over the slices they are the session's
     streams and records; ``idx_a``/``idx_b`` index the session's streams.
+    Per-slice arrays and counts come from the sink alone.
 
     Raises the ValueError of ``link.slices`` before any slice is drawn.
     """
@@ -216,53 +219,38 @@ def run_session(
     reject_half_width = link.coincidence_window_ps // 2
     sides = [_SideSlicer(link.detector.dead_time_ns), _SideSlicer(link.detector.dead_time_ns)]
     matcher = _SliceMatcher(link.match_window_ps)
-    slices = []
-    wide_sift = filtered_sift = distill.SiftTally()
-    next_id = 0
+    totals = SessionArtifacts()
     for k, (start, stop, frontier) in enumerate(plan):
-        *fresh, pairs = _draw_slice(link, seed, k, start, stop, next_id)
-        next_id += pairs
+        *fresh, pairs = _draw_slice(link, seed, k, start, stop, totals.pairs)
         # Popped, so that each side's fresh tags go once they are merged.
         final = [side.advance(fresh.pop(0), frontier) for side in sides]
 
+        step = SessionArtifacts(pairs=pairs, tags_a=len(final[0]), tags_b=len(final[1]))
         records = matcher.feed(*final, frontier)
         filtered = None
         if records is not None:
             filtered = tagproc.temporal_mode_filter(records, min_delay, reject_half_width)
-            wide_sift += distill.sift_tally(records)
-            filtered_sift += distill.sift_tally(filtered)
+            step += SessionArtifacts(
+                records=len(records),
+                retained=len(filtered),
+                wide_sift=distill.sift_tally(records),
+                filtered_sift=distill.sift_tally(filtered),
+            )
         if sink is not None:
             sink(*final, records, filtered)
-        slices.append(
-            SliceCounts(
-                start_ps=start,
-                pairs=pairs,
-                tags_a=len(final[0]),
-                tags_b=len(final[1]),
-                records=0 if records is None else len(records),
-                retained=0 if filtered is None else len(filtered),
-            )
-        )
+        totals += step
         del final, records, filtered
 
-    artifacts = SessionArtifacts(
-        slices=slices,
-        wide_sift=wide_sift,
-        filtered_sift=filtered_sift,
-        mode_filter_ambiguous=min_delay <= reject_half_width,
-    )
-    n_records = artifacts.records
+    sifted = totals.filtered_sift
     report = _key_rate_report(
         link,
-        sifted_bits=filtered_sift.bits,
-        sifted_rate=filtered_sift.bits / duration_s,
-        qber=filtered_sift.qber,
-        retained_fraction=(
-            sum(counts.retained for counts in slices) / n_records if n_records else 0.0
-        ),
+        sifted_bits=sifted.bits,
+        sifted_rate=sifted.bits / duration_s,
+        qber=sifted.qber,
+        retained_fraction=totals.retained / totals.records if totals.records else 0.0,
         offset_ps=matcher.offset_ps,
     )
-    return report, artifacts
+    return report, totals
 
 
 def _draw_slice(
@@ -386,6 +374,11 @@ class _SliceMatcher:
             if frontier is not None and len(a) < tagproc._FINE_SOURCE_TAGS:
                 self.waiting = [a, b]
                 return None
+            for side, tags in zip("AB", (a, b)):
+                if len(tags) == 0:
+                    raise tagproc.NoCorrelationPeakError(
+                        f"no correlation peak: stream {side} holds no tags"
+                    )
             self.offset_ps = tagproc.find_offset(a, b)
             self.lower = self.offset_ps - self.window_ps // 2
             self.upper = self.offset_ps + self.window_ps // 2

@@ -397,13 +397,11 @@ def merge_streams(first: TagStream, second: TagStream) -> TagStream:
     """Merge two streams sorted by time into one, as a stable sort of
     ``first`` followed by ``second`` would: at equal times the tags of
     ``first`` come first. An empty side gives the other stream back, and
-    two streams that do not overlap in time are concatenated."""
+    ``first`` wholly at or before ``second`` is concatenated ahead of it."""
     if len(first) == 0 or len(second) == 0:
         return second if len(first) == 0 else first
     if first.times_ps[-1] <= second.times_ps[0]:
         return TagStream.concat([first, second])
-    if second.times_ps[-1] < first.times_ps[0]:
-        return TagStream.concat([second, first])
     # Each tag of ``second`` goes after the tags of ``first`` at or before
     # its time and after the tags of ``second`` ahead of it.
     at = np.searchsorted(first.times_ps, second.times_ps, side="right")

@@ -76,3 +76,27 @@ def test_summary_needs_ten_pairs():
 def test_summary_rejects_bad_input(parent, change, better):
     with pytest.raises(ValueError):
         ab_bench.summarize("wall_s", better, parent, change)
+
+
+def test_stage_copies_only_what_a_run_needs(tmp_path):
+    # The staged directory holds the checkout's src/, perfbench/ and
+    # BENCHMARK.json, without caches or benchmark work files, and nothing
+    # left from the side staged before.
+    checkout = tmp_path / "checkout"
+    for name in (
+        "src/pkg/mod.py",
+        "src/pkg/__pycache__/mod.pyc",
+        "perfbench/run.py",
+        "perfbench/.perfbench_work/out.txt",
+        "BENCHMARK.json",
+        "README.md",
+    ):
+        (checkout / name).parent.mkdir(parents=True, exist_ok=True)
+        (checkout / name).write_text(name)
+    where = tmp_path / "where"
+    where.mkdir()
+    (where / "stale.txt").write_text("from the other side")
+    ab_bench.stage(checkout, where)
+    staged = sorted(str(p.relative_to(where)) for p in where.rglob("*") if p.is_file())
+    assert staged == ["BENCHMARK.json", "perfbench/run.py", "src/pkg/mod.py"]
+    assert (where / "src/pkg/mod.py").read_text() == "src/pkg/mod.py"

@@ -11,7 +11,7 @@ import pytest
 
 from conftest import SessionSink
 from fiberqkd import cli, netsim
-from fiberqkd.channel import TrafficDirection
+from fiberqkd.channel import ClassicalTraffic, TrafficDirection
 from fiberqkd.cli import (
     ExperimentConfig,
     emit_csv,
@@ -577,6 +577,25 @@ def test_failed_sweep_point_names_its_point_and_seed(tmp_path):
     message = str(caught.value)
     assert f"length_km=8.0 variant=dark repetition=0 seed={seed}: no correlation peak" in message
     assert isinstance(caught.value.__cause__, NoCorrelationPeakError)
+
+
+def test_sweep_point_with_no_tags_names_its_point_and_seed(tmp_path):
+    # Dead, dark-free detectors on dark fiber click never: the session
+    # names the empty side, and the sweep the point and seed.
+    config = _fast_config(
+        scenario="length_sweep",
+        lengths_km=[1.0],
+        output_dir=str(tmp_path / "out"),
+    )
+    config.detector = DetectorParams(efficiency=0.0, dark_cps=0.0)
+    config.traffic = ClassicalTraffic(direction=TrafficDirection.NONE)
+    seed = cli._derive_seed(config.seed, 0, 0, 0)
+    with pytest.raises(NoCorrelationPeakError) as caught:
+        run_experiment(config)
+    assert str(caught.value) == (
+        f"length_km=1.0 variant=dark repetition=0 seed={seed}: "
+        "no correlation peak: stream A holds no tags"
+    )
 
 
 def test_sweep_frees_each_session_before_the_next(tmp_path, monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from conftest import (
     SessionSink,
     assert_records_equal,
     assert_streams_equal,
+    concat_records,
     dead_time_reference,
     noise_merge_reference,
 )
@@ -18,7 +20,7 @@ from fiberqkd.channel import (
 )
 from fiberqkd.netsim import Link, predict_key_rates, run_session
 from fiberqkd.pairgen import SourceParams
-from fiberqkd import netsim, receiver
+from fiberqkd import netsim, receiver, tagproc
 from fiberqkd.receiver import DetectorParams, TagOrigin, TagStream, sample_pair_tags
 from fiberqkd.tagproc import ModeFilterWarning, NoCorrelationPeakError
 
@@ -52,12 +54,54 @@ def test_session_rejects_less_than_one_tick(monkeypatch, duration_s):
     assert drawn == []
 
 
-def test_dead_detectors_raise_no_correlation_peak():
-    # Dead detectors leave only uncorrelated dark counts: offset recovery
-    # fails.
-    link = _link(pair_rate=2e5, detector=DetectorParams(efficiency=0.0))
-    with pytest.raises(NoCorrelationPeakError):
+@pytest.mark.parametrize(
+    "traffic, dark_cps, match",
+    [
+        # Only uncorrelated dark and background counts: no peak is found.
+        (None, DetectorParams().dark_cps, "no correlation peak"),
+        # No tag at all: the session names the empty side.
+        (_dark(), 0.0, "no correlation peak: stream A holds no tags"),
+    ],
+    ids=["dark_counts_only", "no_tags"],
+)
+def test_dead_detectors_raise_no_correlation_peak(traffic, dark_cps, match):
+    detector = DetectorParams(efficiency=0.0, dark_cps=dark_cps)
+    link = _link(traffic=traffic, pair_rate=2e5, detector=detector)
+    with pytest.raises(NoCorrelationPeakError, match=match):
         run_session(link, 1.0, seed=5)
+
+
+def test_empty_b_side_raises_no_correlation_peak(monkeypatch):
+    # A holds tags and B none: the session names B, where find_offset would
+    # raise a bare ValueError.
+    sample = receiver.sample_pair_tags
+
+    def no_b(*args, **kwargs):
+        tags_a, tags_b, pairs = sample(*args, **kwargs)
+        return tags_a, TagStream.empty(), pairs
+
+    monkeypatch.setattr(receiver, "sample_pair_tags", no_b)
+    detector = DetectorParams(dark_cps=0.0)
+    link = _link(traffic=_dark(), pair_rate=2e5, detector=detector)
+    with pytest.raises(NoCorrelationPeakError, match="stream B holds no tags"):
+        run_session(link, 1.0, seed=5)
+
+
+@pytest.mark.parametrize("step", [-1, 0, 1])
+def test_link_mode_filter_ambiguous_follows_the_filter_warning(step):
+    # Mode delays of half the coincidence window minus one tick, exactly,
+    # and plus one, set through the delay per km on 1 km arms: the link
+    # calls the filter ambiguous exactly where the session's filter warns.
+    half = tagproc.DEFAULT_COINCIDENCE_WINDOW_PS // 2
+    arm = ChannelConfig(length_km=1.0, mode_delay_ns_per_km=(half + step) / 1000)
+    link = Link(arm, arm, SourceParams(pair_rate=4e5))
+    delay = min(link.budget.mode_delay_ps)
+    assert delay == half + step
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        tagproc.temporal_mode_filter(concat_records([]), delay, link.coincidence_window_ps // 2)
+    warned = any(issubclass(w.category, ModeFilterWarning) for w in caught)
+    assert link.mode_filter_ambiguous == warned == (step <= 0)
 
 
 def test_run_session_deterministic():
@@ -66,7 +110,7 @@ def test_run_session_deterministic():
     report1, art1 = run_session(link, 2.0, seed=42, sink=sinks[0])
     report2, art2 = run_session(link, 2.0, seed=42, sink=sinks[1])
     assert report1 == report2
-    assert art1.slices == art2.slices
+    assert art1 == art2
     (a1, b1), (a2, b2) = (sink.streams() for sink in sinks)
     assert np.array_equal(a1.times_ps, a2.times_ps)
     assert np.array_equal(b1.detectors, b2.detectors)
@@ -139,8 +183,8 @@ def test_short_arm_qber_band():
     # 0.25 km arms on dark fiber, defaults, 60 s of source time.
     link = _link(length_km=0.25, traffic=_dark())
     with pytest.warns(Warning):
-        report, artifacts = run_session(link, 60.0, seed=101)
-    assert artifacts.mode_filter_ambiguous
+        report, _ = run_session(link, 60.0, seed=101)
+    assert link.mode_filter_ambiguous
     assert 0.02 <= report.qber <= 0.06
 
 
@@ -150,13 +194,13 @@ def test_zero_length_arms_filter_with_warning():
     link = _link(length_km=0.0, traffic=_dark())
     sink = SessionSink()
     with pytest.warns(ModeFilterWarning):
-        report, artifacts = run_session(link, 1.0, seed=5, sink=sink)
+        report, _ = run_session(link, 1.0, seed=5, sink=sink)
     records, filtered = sink.records()
     half = link.coincidence_window_ps // 2
     expected = records.take(np.abs(records.delta) <= half)
     assert len(expected) > 0
     assert_records_equal(filtered, expected)
-    assert artifacts.mode_filter_ambiguous
+    assert link.mode_filter_ambiguous
     assert report.retained_fraction == len(expected) / len(records)
 
 
@@ -210,7 +254,7 @@ def test_report_invariants():
     assert report.asymptotic_rate <= report.sifted_rate
     assert report.finite_length <= report.sifted_bits
     assert 0.0 <= report.retained_fraction <= 1.0
-    assert report.sifted_bits <= sum(counts.retained for counts in artifacts.slices)
+    assert report.sifted_bits <= artifacts.retained
     assert report.length_km_per_arm == 2.0
 
 

@@ -27,7 +27,7 @@ from conftest import (
 from fiberqkd import netsim, receiver, tagproc
 from fiberqkd.channel import ChannelConfig, ClassicalTraffic, TrafficDirection
 from fiberqkd.distill import sift, sift_tally
-from fiberqkd.netsim import Link, SliceOrderError, run_session
+from fiberqkd.netsim import Link, SessionArtifacts, SliceOrderError, run_session
 from fiberqkd.pairgen import PS_PER_SECOND, SourceParams
 from fiberqkd.receiver import DetectorParams, TagStream
 from fiberqkd.tagproc import ModeFilterWarning
@@ -83,6 +83,8 @@ def _whole_stream(link, duration_s, fresh, offset=None):
 
 
 def _assert_session_equals_whole_stream(link, duration_s, seed, fresh, offset=None):
+    """Run the session and check it against the whole-stream pipeline on
+    ``fresh``; returns the session's sink."""
     sink = SessionSink()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ModeFilterWarning)
@@ -98,13 +100,20 @@ def _assert_session_equals_whole_stream(link, duration_s, seed, fresh, offset=No
     assert report.sifted_bits == len(key)
     assert report.qber == key.qber
     assert report.retained_fraction == len(filtered) / len(records)
-    assert artifacts.wide_sift == sift_tally(records)
-    assert artifacts.filtered_sift == sift_tally(filtered)
-    assert [c.start_ps for c in artifacts.slices] == [s for s, _, _ in link.slices(duration_s)]
-    assert sink.calls == len(artifacts.slices)
-    assert sum(c.tags_a for c in artifacts.slices) == len(streams[0])
-    assert sum(c.records for c in artifacts.slices) == len(records)
-    return artifacts
+    # Every drawn pair clicks on at least one side, so the drawn pairs are
+    # the distinct pair ids of the fresh tags.
+    ids = np.concatenate([tags.pair_ids for parts in fresh for tags in parts])
+    assert artifacts == SessionArtifacts(
+        pairs=np.unique(ids[ids >= 0]).size,
+        tags_a=len(streams[0]),
+        tags_b=len(streams[1]),
+        records=len(records),
+        retained=len(filtered),
+        wide_sift=sift_tally(records),
+        filtered_sift=sift_tally(filtered),
+    )
+    assert sink.calls == len(link.slices(duration_s))
+    return sink
 
 
 # (name, arm A, arm B, pair rate, detector, source seconds, seed). The first
@@ -144,8 +153,8 @@ def test_session_equals_whole_stream_pipeline(
 ):
     link = _link(arm_a, arm_b or arm_a, pair_rate, detector)
     fresh = _drawn_slices(link, duration_s, seed)
-    artifacts = _assert_session_equals_whole_stream(link, duration_s, seed, fresh)
-    assert len(artifacts.slices) >= 3
+    sink = _assert_session_equals_whole_stream(link, duration_s, seed, fresh)
+    assert sink.calls >= 3
 
 
 @pytest.mark.parametrize(
@@ -163,9 +172,9 @@ def test_session_equals_whole_stream_pipeline_in_short_slices(
     monkeypatch.setattr(netsim, "SLICE_PAIRS", 1 << 11)
     monkeypatch.setattr(tagproc, "_FINE_SOURCE_TAGS", 1 << 14)
     link = _link(arm_a, arm_b or arm_a, pair_rate, detector)
-    artifacts = _assert_session_equals_whole_stream(link, 2.0, 7, _drawn_slices(link, 2.0, 7))
-    assert len(artifacts.slices) >= 20
-    assert sum(c.records > 0 for c in artifacts.slices) >= 5
+    sink = _assert_session_equals_whole_stream(link, 2.0, 7, _drawn_slices(link, 2.0, 7))
+    assert sink.calls >= 20
+    assert sum(len(part) > 0 for part in sink.parts[2]) >= 5
 
 
 def test_slice_seeds_follow_the_slice_index():
@@ -187,8 +196,8 @@ def test_pair_ids_run_on_across_slices(monkeypatch):
     tags_a, tags_b = sink.streams()
     ids = np.union1d(tags_a.pair_ids[tags_a.pair_ids >= 0], tags_b.pair_ids[tags_b.pair_ids >= 0])
     # Every drawn pair clicks somewhere, and one counter numbers them all.
-    assert np.array_equal(ids, np.arange(sum(c.pairs for c in artifacts.slices)))
-    assert len(artifacts.slices) > 10
+    assert np.array_equal(ids, np.arange(artifacts.pairs))
+    assert sink.calls > 10
 
 
 # Arms of zero length (no delays), no noise, and slices of about 100 us:
@@ -275,8 +284,8 @@ def test_slice_boundaries_equal_whole_stream(data, n_slices, last_fraction, dead
         # with an A tag, so that later slices match one by one.
         patch.setattr(tagproc, "find_offset", lambda tags_a, tags_b: 0)
         patch.setattr(tagproc, "_FINE_SOURCE_TAGS", 1)
-        artifacts = _assert_session_equals_whole_stream(link, duration_s, 0, fresh, offset=0)
-    assert len(artifacts.slices) == n_slices
+        sink = _assert_session_equals_whole_stream(link, duration_s, 0, fresh, offset=0)
+    assert sink.calls == n_slices
 
 
 def test_tag_behind_the_processed_frontier_raises(monkeypatch):
@@ -343,7 +352,7 @@ def test_session_peak_memory_is_set_by_a_slice():
         warnings.simplefilter("ignore", ModeFilterWarning)
         for duration_s in (10.0, 90.0):
             (_, artifacts), peaks[duration_s] = traced_peak(run_session, link, duration_s, 3)
-            assert sum(c.tags_a for c in artifacts.slices) > duration_s * 1e5
+            assert artifacts.tags_a > duration_s * 1e5
     assert peaks[90.0] <= 1.1 * peaks[10.0], peaks
     assert max(peaks.values()) <= 24 * 2**20, peaks
 
@@ -358,9 +367,9 @@ def test_session_parts_keep_each_columns_declared_width(monkeypatch):
     sink = SessionSink()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ModeFilterWarning)
-        _, artifacts = run_session(link, 0.5, seed=4, sink=sink)
+        run_session(link, 0.5, seed=4, sink=sink)
     tags_a, tags_b, records, filtered = sink.parts
-    assert len(filtered) == len(artifacts.slices) >= 3
+    assert len(filtered) == sink.calls >= 3
     assert all(len(part) for part in filtered)
     for part in tags_a + tags_b:
         for f in fields(TagStream):
@@ -399,7 +408,10 @@ def test_offset_recovered_in_the_slice_where_a_reaches_the_prefix(monkeypatch, c
 
     monkeypatch.setattr(receiver, "sample_pair_tags", sample)
     monkeypatch.setattr(tagproc, "find_offset", find_offset)
+    sink = SessionSink()
     with pytest.warns(ModeFilterWarning):
-        _, artifacts = run_session(link, len(counts) * slice_ps / PS_PER_SECOND, seed=0)
+        run_session(link, len(counts) * slice_ps / PS_PER_SECOND, seed=0, sink=sink)
     assert searched == [(6, 6)]
-    assert [c.records for c in artifacts.slices] == [0] * reached + [6] + list(counts[reached + 1:])
+    # The slices before ``reached`` hand the sink no records.
+    assert sink.calls == len(counts)
+    assert [len(part) for part in sink.parts[2]] == [6] + list(counts[reached + 1:])

@@ -18,8 +18,14 @@ pairs, how many pairs the change won (lower or higher is better as
 at least ten pairs, the change wins at least nine pairs in ten, and its
 median beats the parent's by more than the parent's interquartile range.
 The exit status is 1 when a run fails or reports a failed operation, 0
-otherwise. Nothing is written outside what
-``perfbench/run.py`` writes and removes in each checkout.
+otherwise.
+
+Both sides run from one path, so that the length of a checkout's
+directory name cannot move their figures: before each run, the side's
+``src/``, ``perfbench/`` and ``BENCHMARK.json`` (without ``__pycache__``
+or ``.perfbench_work``) are copied into one temporary directory, the same
+for every run, and ``perfbench/run.py`` runs there. Nothing is written
+outside that directory, which is removed at the end.
 """
 
 from __future__ import annotations
@@ -27,9 +33,11 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -39,6 +47,9 @@ CLAIM_MIN_PAIRS = 10
 CLAIM_WIN_SHARE = 0.9
 # The seed of the first pair; pair i runs at FIRST_SEED + i.
 FIRST_SEED = 1001
+# What a run needs of a checkout, and what of that is left out of the copy.
+RUN_FILES = ("src", "perfbench", "BENCHMARK.json")
+SKIP = shutil.ignore_patterns("__pycache__", ".perfbench_work")
 
 
 def quartiles(values: list[float]) -> dict[str, float]:
@@ -81,9 +92,21 @@ def summarize(name: str, better: str, parent: list[float], change: list[float]) 
     }
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The result line of one untraced ``perfbench/run.py`` run in
-    ``checkout``."""
+def stage(checkout: Path, where: Path) -> None:
+    """Make ``where`` hold ``checkout``'s ``RUN_FILES`` and nothing else."""
+    shutil.rmtree(where, ignore_errors=True)
+    where.mkdir()
+    for name in RUN_FILES:
+        if (checkout / name).is_dir():
+            shutil.copytree(checkout / name, where / name, ignore=SKIP)
+        else:
+            shutil.copy2(checkout / name, where / name)
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float, where: Path) -> dict:
+    """The result line of one untraced ``perfbench/run.py`` run of
+    ``checkout``, staged in ``where``."""
+    stage(checkout, where)
     done = subprocess.run(
         [
             sys.executable,
@@ -93,7 +116,7 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
             "--seconds", str(seconds),
             "--trace", "0",
         ],
-        cwd=checkout,
+        cwd=where,
         capture_output=True,
         text=True,
     )
@@ -116,15 +139,17 @@ def main(argv=None) -> int:
     spec = json.loads((REPO / "BENCHMARK.json").read_text(encoding="utf-8"))
     seconds = spec["run_seconds"] if args.seconds is None else args.seconds
     runs = {"parent": [], "change": []}
-    for i in range(args.pairs):
-        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        for side in order:
-            checkout = getattr(args, side)
-            result = run_once(checkout, args.workload, FIRST_SEED + i, seconds)
-            runs[side].append(result)
-            if result["failed"]:
-                print(f"{checkout}: {result['failed']} failed ops at seed {FIRST_SEED + i}",
-                      file=sys.stderr)
+    with tempfile.TemporaryDirectory(prefix="ab_bench_") as scratch:
+        where = Path(scratch) / "checkout"
+        for i in range(args.pairs):
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            for side in order:
+                checkout = getattr(args, side)
+                result = run_once(checkout, args.workload, FIRST_SEED + i, seconds, where)
+                runs[side].append(result)
+                if result["failed"]:
+                    print(f"{checkout}: {result['failed']} failed ops at seed {FIRST_SEED + i}",
+                          file=sys.stderr)
     for metric in spec["end_to_end"]:
         name = metric["name"]
         values = {side: [r["metrics"][name]["value"] for r in rs] for side, rs in runs.items()}
