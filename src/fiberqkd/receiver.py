@@ -501,26 +501,28 @@ def check_detectors(*columns: np.ndarray) -> None:
 
 def write_tags(stream: TagStream, path) -> None:
     """Dump a tag stream as text, one ``<time_ps> <detector> <origin>`` line
-    per tag (origin codes: p=pair, b=background, d=dark).
+    per tag (origin codes: p=pair, b=background, d=dark). A stream that
+    ``read_tags`` would refuse raises ValueError before the file is made.
     """
-    columns = _tag_columns(stream)
+    _check_tag_codes(stream)
     with open(path, "w", encoding="ascii") as fh:
-        write_rows(fh, "{} {} {}\n", *columns)
+        write_tag_rows(fh, stream)
 
 
 def write_tag_rows(fh, stream: TagStream) -> None:
     """Write the lines of ``write_tags`` for ``stream`` to the open text
     file ``fh``, so that a stream can be written one part after another."""
-    write_rows(fh, "{} {} {}\n", *_tag_columns(stream))
+    _check_tag_codes(stream)
+    codes = np.array([_ORIGIN_CODES[origin] for origin in TagOrigin])
+    write_rows(fh, "{} {} {}\n", stream.times_ps, stream.detectors, codes[stream.origins])
 
 
-def _tag_columns(stream: TagStream) -> tuple[np.ndarray, ...]:
-    """The three columns of the tag format, checked."""
+def _check_tag_codes(stream: TagStream) -> None:
+    """Raise ValueError unless every detector and origin of ``stream`` has
+    a code in the tag format."""
     check_detectors(stream.detectors)
     if len(stream) and (stream.origins.min() < 0 or stream.origins.max() >= len(TagOrigin)):
         raise ValueError("tag origins must be TagOrigin values")
-    codes = np.array([_ORIGIN_CODES[origin] for origin in TagOrigin])
-    return stream.times_ps, stream.detectors, codes[stream.origins]
 
 
 def load_text_rows(path, **loadtxt_kwargs) -> np.ndarray:

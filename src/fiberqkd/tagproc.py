@@ -29,9 +29,10 @@ PEAK_SIGNIFICANCE = 5.0
 # Offset recovery needs only enough source tags for a clear peak; capping
 # them keeps the pairing histogram cheap on multi-megatag streams.
 DEFAULT_MAX_SOURCE_TAGS = 1_000_000
-# Pairings per chunk of the offset histogram, which bounds its scratch; A
-# tags are ranked an eighth of this many at a time.
-_PAIRING_CHUNK = 1 << 18
+# A tags per step of the offset search's pairing walk, which bounds its
+# scratch to about eight arrays of this many entries beside the histogram,
+# however many pairings each A tag has.
+_PAIRING_CHUNK = 1 << 15
 # The coarse offset search starts from this many A tags and doubles them,
 # halving the start while it would expect more than _COARSE_PAIRINGS
 # pairings, so that a bright B stream does not make the first step dear.
@@ -101,38 +102,30 @@ def _add_pairings(counts, ta, tb, origin, w) -> None:
     for diffs in _pairing_differences(ta, tb, origin, origin + counts.size * w):
         diffs -= origin
         diffs //= w
-        counts += np.bincount(diffs, minlength=counts.size)
+        np.add.at(counts, diffs, 1)
 
 
 def _pairing_differences(ta, tb, lo_edge, hi_edge):
     """Yield the B-minus-A difference d of every pairing with lo_edge <= d <
-    hi_edge, A tag by A tag, in arrays of at most _PAIRING_CHUNK pairings;
-    an A tag with more pairings than that comes in an array of its own.
+    hi_edge; ``tb`` holds at least one tag.
 
-    Both ends of each A tag's pairings are ranks in ``tb``, found by
-    merging the sorted A times with B, _PAIRING_CHUNK // 8 A tags at a time.
+    As the matcher does, each A tag starts from its first candidate, the
+    rank in ``tb`` of its time plus lo_edge, found for _PAIRING_CHUNK A tags
+    at a time. Each round of the walk then yields the difference of every
+    A tag whose pick is a B tag below hi_edge and moves that pick on by
+    one; an A tag drops out at its first pick past the edge or past B.
     """
-    step = _PAIRING_CHUNK // 8
-    for start in range(0, ta.size, step):
-        part = ta[start : start + step]
-        left = _rank(tb, part + lo_edge)
-        per_a = _rank(tb, part + hi_edge)
-        per_a -= left
-        ends = np.cumsum(per_a)
-        first = 0
-        while first < part.size:
-            done = int(ends[first - 1]) if first else 0
-            stop = int(np.searchsorted(ends, done + _PAIRING_CHUNK, side="right"))
-            stop = max(stop, first + 1)
-            n = per_a[first:stop]
-            # Flat index into tb of every pairing, A tag by A tag.
-            flat = np.repeat(left[first:stop] - (ends[first:stop] - done - n), n)
-            flat += np.arange(flat.size)
-            diffs = tb[flat]
-            del flat
-            diffs -= np.repeat(part[first:stop], n)
-            yield diffs
-            first = stop
+    for start in range(0, ta.size, _PAIRING_CHUNK):
+        part = ta[start : start + _PAIRING_CHUNK]
+        pick = _rank(tb, part + lo_edge)
+        while True:
+            diffs = tb.take(pick, mode="clip")
+            diffs -= part
+            live = np.flatnonzero((diffs < hi_edge) & (pick < tb.size))
+            if not live.size:
+                break
+            yield diffs[live]
+            part, pick = part[live], pick[live] + 1
 
 
 def _rank(tb: np.ndarray, keys: np.ndarray) -> np.ndarray:
@@ -424,11 +417,12 @@ COINCIDENCE_HEADER = ",".join(_COINCIDENCE_FIELDS) + "\n"
 
 
 def write_coincidences(records: Coincidences, path) -> None:
-    """Write records as CSV: time_a_ps,time_b_ps,det_a,det_b,delta_ps."""
+    """Write records as CSV: time_a_ps,time_b_ps,det_a,det_b,delta_ps. A
+    detector outside 0..3 raises ValueError before the file is made."""
     check_detectors(records.det_a, records.det_b)
     with open(path, "w", encoding="ascii", newline="") as fh:
         fh.write(COINCIDENCE_HEADER)
-        write_rows(fh, _COINCIDENCE_ROW, *_record_columns(records))
+        write_coincidence_rows(fh, records)
 
 
 def write_coincidence_rows(fh, records: Coincidences) -> None:
@@ -436,14 +430,8 @@ def write_coincidence_rows(fh, records: Coincidences) -> None:
     open text file ``fh``, so that records can be written part by part
     after the header."""
     check_detectors(records.det_a, records.det_b)
-    write_rows(fh, _COINCIDENCE_ROW, *_record_columns(records))
-
-
-_COINCIDENCE_ROW = "{},{},{},{},{}\n"
-
-
-def _record_columns(records: Coincidences) -> tuple[np.ndarray, ...]:
-    return records.times_a, records.times_b, records.det_a, records.det_b, records.delta
+    columns = records.times_a, records.times_b, records.det_a, records.det_b, records.delta
+    write_rows(fh, "{},{},{},{},{}\n", *columns)
 
 
 def read_coincidences(path, offset_ps: int = 0) -> Coincidences:

@@ -345,7 +345,7 @@ def test_link_slices_follow_the_slice_plan(monkeypatch):
 def test_session_peak_memory_is_set_by_a_slice():
     # dense_025km settings: nine times the source time may raise the traced
     # peak by at most 10%, and no peak may pass 24 MiB. A slice's arrays
-    # peaked at 19.3-19.9 MiB with Python 3.11 and numpy 2.4.
+    # peaked at 16.5-17.2 MiB with Python 3.11 and numpy 2.4.
     link = _link(ChannelConfig(0.25, traffic=ACTIVE), ChannelConfig(0.25, traffic=ACTIVE), 4e5)
     peaks = {}
     with warnings.catch_warnings():

@@ -102,9 +102,9 @@ def _assert_histogram_equals_brute_force(ta, tb, span, width, max_source_tags):
 @pytest.mark.parametrize("chunk_tags", [3, None])
 def test_histogram_bins_equal_brute_force(monkeypatch, rng, width, chunk_tags):
     # Every bin equals np.histogram of all brute-force B-minus-A differences,
-    # also when A is cut by max_source_tags and taken a few tags at a time.
+    # also when A is cut by max_source_tags and walked a few tags at a time.
     if chunk_tags is not None:
-        monkeypatch.setattr(tagproc, "_PAIRING_CHUNK", 8 * chunk_tags)
+        monkeypatch.setattr(tagproc, "_PAIRING_CHUNK", chunk_tags)
     for _ in range(5):
         ta = np.sort(rng.integers(-3_000, 3_000, size=rng.integers(1, 40)))
         tb = np.sort(rng.integers(-3_000, 3_000, size=rng.integers(1, 40)))
@@ -115,6 +115,28 @@ def test_histogram_bins_equal_brute_force(monkeypatch, rng, width, chunk_tags):
     edges = _assert_histogram_equals_brute_force(ta, ta, 600, width, 3)
     tb = np.sort(np.concatenate([edges - 1, edges]))
     _assert_histogram_equals_brute_force(ta, tb, 600, width, 3)
+    # B ends inside the windows of the later A tags, so their walks run
+    # past the last B tag.
+    ta = np.sort(rng.integers(-3_000, 3_000, size=30))
+    tb = np.sort(rng.integers(-3_000, 0, size=30))
+    _assert_histogram_equals_brute_force(ta, tb, 2_000, width, 30)
+    # Hundreds of B tags in one A tag's window: a walk of as many rounds.
+    tb = np.sort(rng.integers(-100, 100, size=400))
+    _assert_histogram_equals_brute_force(ta, tb, 2_000, width, 30)
+    # The fine stage's edges, coarse -+ (half window + margin), around a
+    # planted shift, with B tags on, just inside and just past both edges.
+    coarse = 5_000_000
+    reach = tagproc.DEFAULT_COINCIDENCE_WINDOW_PS // 2 + tagproc._FINE_MARGIN_PS
+    ta = np.sort(rng.integers(0, 100_000, size=40))
+    near = np.array([-reach - 1, -reach, -reach + 1, 0, reach - 1, reach, reach + 1])
+    planted = ta + coarse + rng.integers(-reach, reach, size=ta.size)
+    on_edges = (ta[::8, None] + coarse + near).ravel()
+    noise = coarse + rng.integers(0, 100_000, size=40)
+    tb = np.sort(np.concatenate([planted, on_edges, noise]))
+    lo, hi = coarse - reach, coarse + reach + 1
+    walked = np.concatenate(list(tagproc._pairing_differences(ta, tb, lo, hi)))
+    brute = (tb[None, :] - ta[:, None]).ravel()
+    assert np.array_equal(np.sort(walked), np.sort(brute[(lo <= brute) & (brute < hi)]))
 
 
 _INT64 = np.iinfo(np.int64)
@@ -311,16 +333,19 @@ def test_find_offset_jittered_returns_nearest_bin_center(rng, true_offset, neare
     assert find_offset(tags_a, tags_b) == nearest
 
 
-def test_find_offset_doubles_source_tags_for_a_weak_peak(monkeypatch):
-    # 0.3% of 765 k A tags have a jittered partner at +2,000,000 ps among
-    # independent B tags. The draw is fixed so that 2**15 source tags are
-    # not enough and 2**16 are.
-    rng = np.random.default_rng(0)
+def _weak_peak_streams(draw):
+    """(A, B) tag streams in which 0.3% of about 765 k A tags have a
+    jittered partner at +2,000,000 ps among independent B tags."""
+    rng = np.random.default_rng(draw)
     times_a = _poisson_times(rng, 170_000, 4.5)
     partners = times_a[rng.random(times_a.size) < 0.003]
     jitter = np.rint(rng.normal(0, 500 * math.sqrt(2), partners.size)).astype(np.int64)
     times_b = np.concatenate([_poisson_times(rng, 170_000, 4.5), partners + 2_000_000 + jitter])
-    tags_a, tags_b = make_tag_stream(times_a), make_tag_stream(times_b)
+    return make_tag_stream(times_a), make_tag_stream(times_b)
+
+
+def _searched_steps(monkeypatch):
+    """The list to which each coarse step's count of A tags is appended."""
     searched = []
     add_pairings = tagproc._add_pairings
 
@@ -329,6 +354,14 @@ def test_find_offset_doubles_source_tags_for_a_weak_peak(monkeypatch):
         add_pairings(counts, ta, *args)
 
     monkeypatch.setattr(tagproc, "_add_pairings", counting)
+    return searched
+
+
+def test_find_offset_doubles_source_tags_for_a_weak_peak(monkeypatch):
+    # The draw is fixed so that 2**15 source tags are not enough and 2**16
+    # are.
+    tags_a, tags_b = _weak_peak_streams(0)
+    searched = _searched_steps(monkeypatch)
     assert find_offset(tags_a, tags_b) == 2_000_000
     assert searched == [32_768, 32_768]
     # Starting from fewer tags doubles more often; starting at the cap
@@ -339,27 +372,39 @@ def test_find_offset_doubles_source_tags_for_a_weak_peak(monkeypatch):
     assert find_offset(tags_a, tags_b) == 2_000_000
 
 
+@pytest.mark.parametrize(
+    "draw, coarse_stop",
+    [(0, 65_536), (1, 65_536), (2, 65_536), (3, 32_768), (4, 65_536), (5, 65_536)],
+)
+def test_find_offset_refines_a_weak_peak_from_the_fine_stage_cap(monkeypatch, draw, coarse_stop):
+    # Whether the coarse stage stops at 2**15 or 2**16 A tags, the fine
+    # stage reads its cap of 2**18, from which about 790 partners come, and
+    # lands within one 200 ps bin of the shift; draw 5 gives 1,999,800.
+    tags_a, tags_b = _weak_peak_streams(draw)
+    searched = _searched_steps(monkeypatch)
+    refined = []
+    mean_shift = tagproc._mean_shift_offset
+
+    def counting(ta, *args):
+        refined.append(ta.size)
+        return mean_shift(ta, *args)
+
+    monkeypatch.setattr(tagproc, "_mean_shift_offset", counting)
+    offset = find_offset(tags_a, tags_b)
+    assert sum(searched) == coarse_stop
+    assert refined == [262_144]
+    assert abs(offset - 2_000_000) <= 200
+
+
 def test_find_offset_over_every_source_tag_finds_the_weak_peak(monkeypatch):
     # The weak-peak streams above, searched in one histogram over all A tags
     # (no pairing bound on the start): the offset the doubling search finds.
-    rng = np.random.default_rng(0)
-    times_a = _poisson_times(rng, 170_000, 4.5)
-    partners = times_a[rng.random(times_a.size) < 0.003]
-    jitter = np.rint(rng.normal(0, 500 * math.sqrt(2), partners.size)).astype(np.int64)
-    times_b = np.concatenate([_poisson_times(rng, 170_000, 4.5), partners + 2_000_000 + jitter])
-    tags_a, tags_b = make_tag_stream(times_a), make_tag_stream(times_b)
-    searched = []
-    add_pairings = tagproc._add_pairings
-
-    def counting(counts, ta, *args):
-        searched.append(ta.size)
-        add_pairings(counts, ta, *args)
-
-    monkeypatch.setattr(tagproc, "_add_pairings", counting)
+    tags_a, tags_b = _weak_peak_streams(0)
+    searched = _searched_steps(monkeypatch)
     monkeypatch.setattr(tagproc, "_COARSE_SOURCE_TAGS", tagproc.DEFAULT_MAX_SOURCE_TAGS)
     monkeypatch.setattr(tagproc, "_COARSE_PAIRINGS", math.inf)
     assert find_offset(tags_a, tags_b) == 2_000_000
-    assert searched == [min(tagproc.DEFAULT_MAX_SOURCE_TAGS, times_a.size)]
+    assert searched == [min(tagproc.DEFAULT_MAX_SOURCE_TAGS, len(tags_a))]
 
 
 def test_find_offset_starts_from_fewer_source_tags_on_a_bright_stream(monkeypatch):
@@ -373,14 +418,7 @@ def test_find_offset_starts_from_fewer_source_tags_on_a_bright_stream(monkeypatc
     tags_a, tags_b = make_tag_stream(times_a), make_tag_stream(times_b)
     tb = tags_b.times_ps
     per_a = tb.size * 500_001 * 200 / (tb[-1] - tb[0])
-    searched = []
-    add_pairings = tagproc._add_pairings
-
-    def counting(counts, ta, *args):
-        searched.append(ta.size)
-        add_pairings(counts, ta, *args)
-
-    monkeypatch.setattr(tagproc, "_add_pairings", counting)
+    searched = _searched_steps(monkeypatch)
     offset = find_offset(tags_a, tags_b)
     assert offset == 3_000_000
     assert searched[0] * per_a <= 2**21 < 2 * searched[0] * per_a
@@ -391,12 +429,13 @@ def test_find_offset_starts_from_fewer_source_tags_on_a_bright_stream(monkeypatc
     assert searched[0] == 32_768
 
 
-def test_find_offset_peak_memory_bounded_by_pairing_chunks():
+def test_find_offset_peak_memory_bounded_by_the_pairing_step():
     # The sparse session's arms and rate (4 km, 4e6 pairs/s, efficiency 1)
     # over 1 s: 0.17 M tags per side and about 17 pairings per A tag in the
-    # +-50 us span. The histogram is filled a chunk of pairings at a time,
-    # so the scratch beyond the counts and one chunk's bincount stays
-    # below one int64 array of the first coarse step's pairings.
+    # +-50 us span. The pairings are walked _PAIRING_CHUNK A tags at a time,
+    # so the scratch beside the counts is bounded by that step and not by
+    # the pairings. The walk holds about eight step-long arrays; the median
+    # floor's copy of the counts, 15.3 steps here, is the largest part.
     arm = ChannelConfig(length_km=4.0)
     tags_a, tags_b, _ = sample_pair_tags(
         SourceParams(pair_rate=4e6), arm, arm, DetectorParams(efficiency=1.0), 1.0, seed=3
@@ -412,9 +451,14 @@ def test_find_offset_peak_memory_bounded_by_pairing_chunks():
             - np.searchsorted(tb, first_step + origin)
         )
     )
-    assert pairings > 2 * tagproc._PAIRING_CHUNK
-    scratch = peak - 2 * 8 * n_bins
-    assert scratch <= 8 * pairings, f"scratch {scratch / (8 * pairings):.2f} x the pairings"
+    step = 8 * tagproc._PAIRING_CHUNK
+    # The bound is tighter than one int64 per pairing of the first step.
+    assert 16 * step < 8 * pairings
+    scratch = peak - 8 * n_bins
+    assert scratch <= 16 * step, f"scratch {scratch / step:.2f} x the step"
+    counts = np.zeros(n_bins, dtype=np.int64)
+    _, walk = traced_peak(tagproc._add_pairings, counts, first_step, tb, origin, 200)
+    assert walk <= 10 * step, f"walk {walk / step:.2f} x the step"
 
 
 def test_match_disjoint_ranges_empty(rng):
